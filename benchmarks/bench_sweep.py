@@ -61,7 +61,7 @@ import numpy as np
 from repro.mmu.hierarchy import HierarchyConfig
 from repro.mmu.tlb import TLBConfig
 from repro.sim.config import SimConfig
-from repro.sim.runner import _precompile_traces, run_suite
+from repro.sim.runner import _load_workload, run_suite
 from repro.sim.simulator import Simulator
 from repro.workloads.registry import BuiltWorkload, build_workload
 from repro.workloads.trace_cache import TraceCache
@@ -85,22 +85,25 @@ def bench_trace_cache(workloads, refs: int) -> dict:
     This runs *first*, before any other section warms the in-process
     workload caches: the cold number honestly includes workload
     construction (Kronecker graph and all), exactly what a worker
-    avoided by the parent's pre-compile pass.  The warm pass is the
-    verified-checksum + memmap path — no workload is even built.
+    avoided by the parent's cache fill.  The warm pass is the
+    verified-checksum + memmap path, with each workload loaded from the
+    layout stored beside its trace — no workload is even built.
     """
     cfg = SimConfig(num_refs=refs)
     with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as td:
         cold_cache = TraceCache(td)
         start = time.perf_counter()
-        _precompile_traces(list(workloads), cfg, cold_cache)
+        for name in workloads:
+            _load_workload(name, cfg, cold_cache)
         cold = time.perf_counter() - start
         assert cold_cache.builds == len(workloads)
 
         warm_cache = TraceCache(td)
         start = time.perf_counter()
-        _precompile_traces(list(workloads), cfg, warm_cache)
+        built = sum(_load_workload(name, cfg, warm_cache)[1] for name in workloads)
         warm = time.perf_counter() - start
         assert warm_cache.hits == len(workloads) and warm_cache.builds == 0
+        assert built == 0
 
         cache_bytes = sum(e["nbytes"] for e in warm_cache.entries())
     speedup = cold / max(warm, 1e-9)

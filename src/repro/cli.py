@@ -77,12 +77,13 @@ def _scheme_selection(args):
 
 def _report_trace_cache(results) -> None:
     """One deterministic stderr line of trace-cache counters (CI greps
-    it to prove a warm second run re-synthesized nothing)."""
+    it to prove a warm second run re-synthesized and rebuilt nothing)."""
     stats = getattr(results, "trace_cache", None)
     if stats is not None:
         print(
             f"repro: trace cache: hits={stats['hits']} "
             f"builds={stats['builds']} rebuilds={stats['invalidated']} "
+            f"workloads_built={stats['workloads_built']} "
             f"dir={stats['root']}",
             file=sys.stderr,
         )

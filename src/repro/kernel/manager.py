@@ -111,6 +111,24 @@ class LVMManager:
             return
         self.index.insert(pte)
 
+    def map_many(self, ptes: List[PTE]) -> None:
+        """:meth:`map` each of ``ptes`` in order.  Inside a batch,
+        duplicate-free entries extend the deferred list behind one
+        set-based check; a duplicate (or no open batch) takes the
+        per-entry path, which raises where :meth:`map` would."""
+        if self._batching:
+            vpns = {pte.vpn for pte in ptes}
+            if (
+                len(vpns) == len(ptes)
+                and vpns.isdisjoint(self._batched_vpns)
+                and not any(map(self.index.contains, vpns))
+            ):
+                self._batched.extend(ptes)
+                self._batched_vpns |= vpns
+                return
+        for pte in ptes:
+            self.map(pte)
+
     def unmap(self, vpn: int) -> PTE:
         if self._batching:
             for i, pte in enumerate(self._batched):

@@ -10,11 +10,12 @@ and services page faults by mapping on first access (demand paging).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from itertools import repeat
+from typing import Iterable, List, Optional
 
 from repro.errors import DuplicateMappingError
 from repro.kernel import invariants
-from repro.kernel.thp import MappingPlan, plan_vma_mappings
+from repro.kernel.thp import MappingPlan, plan_vma_mappings, plan_vma_runs
 from repro.kernel.vma import VMA, AddressSpace
 from repro.mem.allocator import BumpAllocator, PhysicalAllocator
 from repro.types import PTE, BASE_PAGE_SIZE, PageSize, TranslationError
@@ -84,6 +85,45 @@ class Process:
         for plan in plans:
             self._map_one(plan, vma)
         return plans
+
+    def mmap_all(self, vmas: Iterable[VMA]) -> None:
+        """``mmap(vma, populate=True)`` for each of ``vmas``, in order.
+
+        Without a fault injector, and when the page table has
+        ``map_many``, every page goes to the table in one
+        ``map_many(ptes)`` call: the same PTEs, frames and stats as the
+        per-page path, built without a plan object or an event delivery
+        per page.  Injected event faults need the per-page path.
+        """
+        map_many = getattr(self.page_table, "map_many", None)
+        if map_many is None or self.injector is not None:
+            for vma in vmas:
+                self.mmap(vma, populate=True)
+            return
+        ptes: List[PTE] = []
+        stats = self.stats
+        for vma in vmas:
+            self.address_space.mmap(vma)
+            for first, count, size in plan_vma_runs(
+                vma, self.thp, self.thp_coverage
+            ):
+                step = size.pages_4k
+                span = count * step
+                ppn = self._next_ppn
+                ptes.extend(
+                    map(
+                        PTE,
+                        range(first, first + span, step),
+                        range(ppn, ppn + span, step),
+                        repeat(size, count),
+                        repeat(vma.perms, count),
+                    )
+                )
+                self._next_ppn += span
+                stats.mapped_pages += span
+                if size is not PageSize.SIZE_4K:
+                    stats.huge_mappings += count
+        map_many(ptes)
 
     def _map_one(self, plan: MappingPlan, vma: VMA, faulting: bool = False) -> PTE:
         ppn = self._alloc_frames(plan.page_size)

@@ -42,28 +42,43 @@ def plan_vma_mappings(
     khugepaged has not collapsed).  Deterministic: every ``k``-th
     eligible huge span is skipped so runs are reproducible.
     """
-    plans: List[MappingPlan] = []
+    return [
+        MappingPlan(vpn, size)
+        for first, count, size in plan_vma_runs(vma, thp, coverage, min_huge_span)
+        for vpn in range(first, first + count * size.pages_4k, size.pages_4k)
+    ]
+
+
+def plan_vma_runs(
+    vma: VMA,
+    thp: bool,
+    coverage: float = 0.9,
+    min_huge_span: int = HUGE_PAGES_4K,
+) -> List[Tuple[int, int, PageSize]]:
+    """The :func:`plan_vma_mappings` plan as runs ``(first VPN, count,
+    page size)`` of equal-size mappings, in mapping order — the form
+    bulk population consumes without one object per page."""
+    start, end = vma.start_vpn, vma.end_vpn
     collapsed = _vma_collapsed(vma, coverage)
     if not thp or vma.pages < min_huge_span or vma.file_backed or not collapsed:
-        return [
-            MappingPlan(v, PageSize.SIZE_4K)
-            for v in range(vma.start_vpn, vma.end_vpn)
-        ]
-    first_aligned = -(-vma.start_vpn // HUGE_PAGES_4K) * HUGE_PAGES_4K
-    last_aligned = (vma.end_vpn // HUGE_PAGES_4K) * HUGE_PAGES_4K
+        return [(start, vma.pages, PageSize.SIZE_4K)]
+    first_aligned = -(-start // HUGE_PAGES_4K) * HUGE_PAGES_4K
+    last_aligned = (end // HUGE_PAGES_4K) * HUGE_PAGES_4K
+    runs = []
     # Head: unaligned prefix stays 4 KB.
-    plans.extend(
-        MappingPlan(v, PageSize.SIZE_4K)
-        for v in range(vma.start_vpn, min(first_aligned, vma.end_vpn))
-    )
-    for span_start in range(first_aligned, last_aligned, HUGE_PAGES_4K):
-        plans.append(MappingPlan(span_start, PageSize.SIZE_2M))
+    head_end = min(first_aligned, end)
+    if head_end > start:
+        runs.append((start, head_end - start, PageSize.SIZE_4K))
+    if last_aligned > first_aligned:
+        runs.append(
+            (first_aligned, (last_aligned - first_aligned) // HUGE_PAGES_4K,
+             PageSize.SIZE_2M)
+        )
     # Tail: unaligned suffix stays 4 KB.
-    plans.extend(
-        MappingPlan(v, PageSize.SIZE_4K)
-        for v in range(max(last_aligned, vma.start_vpn), vma.end_vpn)
-    )
-    return plans
+    tail_start = max(last_aligned, start)
+    if end > tail_start:
+        runs.append((tail_start, end - tail_start, PageSize.SIZE_4K))
+    return runs
 
 
 def _vma_collapsed(vma: VMA, coverage: float) -> bool:

@@ -18,7 +18,11 @@ in the original ECPT design's gradual-rehash window.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from itertools import groupby
+from operator import attrgetter
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.mem.allocator import BumpAllocator, PhysicalAllocator
 from repro.types import (
@@ -58,6 +62,37 @@ def _way_hash(key: int, way: int, capacity: int) -> int:
     return x % capacity
 
 
+def _way_hash_column(keys: np.ndarray, way: int) -> np.ndarray:
+    """:func:`_way_hash` over a key column, before its final modulo.
+
+    ``uint64`` arithmetic wraps modulo 2**64, which is exactly the
+    scalar version's masking, so ``column[i] % capacity ==
+    _way_hash(keys[i], way, capacity)`` for every capacity."""
+    x = keys.astype(np.uint64) ^ np.uint64(_WAY_SEEDS[way % len(_WAY_SEEDS)])
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+class _SlotColumns:
+    """Each batch item's slot in every way, at one capacity: what a bulk
+    insert reads in place of calling :func:`_way_hash`.  Items are
+    positions in the batch; the 64-bit hashes are computed once and
+    reduced modulo the capacity again after each resize."""
+
+    def __init__(self, keys: np.ndarray, ways: int):
+        self._hashes = [_way_hash_column(keys, w) for w in range(ways)]
+        self._capacity = 0
+        self._columns: List[List[int]] = []
+
+    def at(self, capacity: int) -> List[List[int]]:
+        if capacity != self._capacity:
+            modulus = np.uint64(capacity)
+            self._columns = [(h % modulus).tolist() for h in self._hashes]
+            self._capacity = capacity
+        return self._columns
+
+
 @dataclass
 class ECPTStats:
     lookups: int = 0
@@ -95,11 +130,12 @@ class _CuckooTable:
         self._bases = [
             self.allocator.alloc(self._capacity * ENTRY_BYTES) for _ in range(ways)
         ]
+        self._pages = page_size.pages_4k
 
     # ``key`` below is the page-size-specific VPN: the 4 KB VPN shifted
     # down so all sub-pages of one mapping share a key.
     def key_of(self, vpn: int) -> int:
-        return vpn // self.page_size.pages_4k
+        return vpn // self._pages
 
     @property
     def load_factor(self) -> float:
@@ -150,6 +186,40 @@ class _CuckooTable:
         self._resize()
         self.insert(item)
 
+    def insert_positions(self, items: Iterable[int], columns: _SlotColumns) -> None:
+        """:meth:`insert` for each of ``items`` in order, where the
+        slots hold batch positions (see :meth:`ECPT.map_many`) and
+        ``columns`` gives each position's slots.  The same load checks,
+        kick chains and resizes, step for step."""
+        ways = self.ways
+        stats = self.stats
+        kick_ways = tuple(w % ways for w in range(MAX_KICKS))
+        capacity, slots = self._capacity, self._slots
+        column = columns.at(capacity)
+        threshold = self.max_load * capacity * ways
+        for item in items:
+            if (self._occupied + 1) > threshold:
+                self.insert_positions(self._grow(), columns)
+                capacity, slots = self._capacity, self._slots
+                column = columns.at(capacity)
+                threshold = self.max_load * capacity * ways
+            for way in kick_ways:
+                row = slots[way]
+                slot = column[way][item]
+                evicted = row[slot]
+                row[slot] = item
+                if evicted is None:
+                    self._occupied += 1
+                    break
+                stats.kicks += 1
+                item = evicted
+            else:
+                self.insert_positions(self._grow(), columns)
+                self.insert_positions((item,), columns)
+                capacity, slots = self._capacity, self._slots
+                column = columns.at(capacity)
+                threshold = self.max_load * capacity * ways
+
     def remove(self, vpn: int) -> Optional[PTE]:
         key = self.key_of(vpn)
         for way in range(self.ways):
@@ -162,6 +232,12 @@ class _CuckooTable:
         return None
 
     def _resize(self) -> None:
+        for entry in self._grow():
+            self.insert(entry)
+
+    def _grow(self) -> list:
+        """Double every way; returns the live entries, way by way in
+        slot order, for the caller to re-insert."""
         self.stats.resizes += 1
         live = [e for way in self._slots for e in way if e is not None]
         for base in self._bases:
@@ -173,8 +249,7 @@ class _CuckooTable:
             for _ in range(self.ways)
         ]
         self._occupied = 0
-        for entry in live:
-            self.insert(entry)
+        return live
 
     def entries(self) -> List[PTE]:
         return [e for way in self._slots for e in way if e is not None]
@@ -280,6 +355,68 @@ class ECPT:
             raise TranslationError(f"VPN {pte.vpn:#x} already mapped")
         table.insert(pte)
         self._cwt_add(pte)
+
+    def map_many(self, ptes: Sequence[PTE]) -> None:
+        """:meth:`map` each of ``ptes`` in order, leaving the identical
+        state: slots, kicks and resizes (hence allocator bases), stats,
+        and CWT dicts in the same insertion order.
+
+        Per page-size table, the live entries and the batch are
+        numbered, the slots hold those numbers while the batch goes in,
+        and every number's slot in each way comes from hash columns
+        computed once with NumPy.  Duplicates are found up front with a
+        set of keys: every live entry sits in one of its probe slots,
+        so the set answers what :meth:`map`'s lookup would."""
+        batches: Dict[PageSize, List[PTE]] = {}
+        for pte in ptes:
+            batches.setdefault(pte.page_size, []).append(pte)
+        members: Dict[PageSize, List[PTE]] = {}
+        columns: Dict[PageSize, _SlotColumns] = {}
+        for size, batch in batches.items():
+            table = self.tables[size]
+            numbered = members[size] = table.entries() + batch
+            keys = np.array([e.vpn for e in numbered], dtype=np.int64)
+            keys //= size.pages_4k
+            if len(set(keys.tolist())) < len(numbered):
+                # A duplicate: map one at a time so the error (and the
+                # state left behind) is exactly the per-entry path's.
+                for pte in ptes:
+                    self.map(pte)
+                return
+            columns[size] = _SlotColumns(keys, table.ways)
+        for size, numbered in members.items():
+            table = self.tables[size]
+            number = {id(e): i for i, e in enumerate(numbered)}
+            table._slots = [
+                [None if e is None else number[id(e)] for e in way]
+                for way in table._slots
+            ]
+        try:
+            start = {size: len(m) - len(batches[size]) for size, m in members.items()}
+            for size, run in groupby(ptes, attrgetter("page_size")):
+                end = start[size] + sum(1 for _ in run)
+                self.tables[size].insert_positions(
+                    range(start[size], end), columns[size]
+                )
+                start[size] = end
+        finally:
+            for size, numbered in members.items():
+                table = self.tables[size]
+                table._slots = [
+                    [None if i is None else numbered[i] for i in way]
+                    for way in table._slots
+                ]
+        # The CWTs are independent of the tables: adding every entry
+        # after the inserts gives the dicts the same operation order.
+        for cwt, region_pages in (
+            (self._pmd_cwt, PMD_REGION_PAGES),
+            (self._pud_cwt, PUD_REGION_PAGES),
+        ):
+            for (region, size), run in groupby(
+                ptes, lambda p: (p.vpn // region_pages, p.page_size)
+            ):
+                counts = cwt.setdefault(region, {})
+                counts[size] = counts.get(size, 0) + sum(1 for _ in run)
 
     def unmap(self, vpn: int) -> PTE:
         for table in self.tables.values():

@@ -10,7 +10,7 @@ circuits the upper levels.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Union
+from typing import Dict, Iterable, List, Optional, Union
 
 from repro.mem.allocator import BumpAllocator, PhysicalAllocator
 from repro.types import (
@@ -100,6 +100,53 @@ class RadixPageTable:
                     f"VPN {pte.vpn:#x} overlaps an existing large page"
                 )
             table = nxt
+
+    def map_many(self, ptes: Iterable[PTE]) -> None:
+        """Install ``ptes`` in order, leaving exactly the state (tables,
+        their allocation order, dict order) that :meth:`map` on each
+        would.  A run of consecutive 4 KB entries with rising VPNs in
+        one leaf table costs one descent and one ``dict.update``; other
+        entries go through :meth:`map`."""
+        run: List[PTE] = []
+        last = -1
+        for pte in ptes:
+            vpn = pte.vpn
+            if pte.page_size is not PageSize.SIZE_4K:
+                self._map_leaf_run(run)
+                run = []
+                self.map(pte)
+                continue
+            if vpn <= last or vpn >> 9 != last >> 9:
+                self._map_leaf_run(run)
+                run = []
+            run.append(pte)
+            last = vpn
+        self._map_leaf_run(run)
+
+    def _map_leaf_run(self, run: List[PTE]) -> None:
+        if not run:
+            return
+        first = run[0].vpn
+        table = self.root
+        for level in LEVELS[:-1]:
+            index = level_index(first, level)
+            nxt = table.entries.get(index)
+            if nxt is None:
+                nxt = self._new_table(level - 1)
+                table.entries[index] = nxt
+            elif isinstance(nxt, PTE):
+                raise TranslationError(
+                    f"VPN {first:#x} overlaps an existing large page"
+                )
+            table = nxt
+        indices = [pte.vpn & (ENTRIES_PER_TABLE - 1) for pte in run]
+        if not table.entries.keys().isdisjoint(indices):
+            # A duplicate: map one at a time so the error (and the
+            # state left behind) is exactly the per-entry path's.
+            for pte in run:
+                self.map(pte)
+            return
+        table.entries.update(zip(indices, run))
 
     def unmap(self, vpn: int) -> PTE:
         table = self.root

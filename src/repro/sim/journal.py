@@ -19,7 +19,10 @@ journal=path, resume=True)``:
 * **Torn-write tolerant.**  A crash can leave a partial final line (or
   a corrupt tail).  Loading stops at the first unparsable or
   checksum-failing record and keeps everything before it — the torn
-  cell simply re-runs on resume.
+  cell simply re-runs on resume.  The file is then truncated to the
+  last valid record before reopening for append, as the tenant
+  journals do (:mod:`repro.serve.tenant_journal`): records written
+  after a resume must survive the next one.
 * **Fingerprint-validated resume.**  The header pins a canonical hash
   of the sweep's :class:`~repro.sim.config.SimConfig`; resuming with a
   different configuration raises a typed
@@ -213,20 +216,34 @@ class RunJournal:
         """Read an existing journal; returns False when there is no
         usable header (caller starts fresh).  Stops at the first torn
         or checksum-failing record; later lines are suspect and the
-        cells they described simply re-run."""
-        lines = self.path.read_text(encoding="utf-8").splitlines()
+        cells they described simply re-run.
+
+        A usable journal is then cut back to the end of its last valid
+        record, so the appends that follow start on a clean line: left
+        behind the torn bytes, they would be dropped by the *next*
+        resume.  A final record that parses but lost its newline is
+        kept, and the newline is restored before the first append."""
         records = []
-        for number, line in enumerate(lines, start=1):
-            record = self._parse_line(line)
-            if record is None:
-                print(
-                    f"repro: journal {self.path}:{number}: torn or "
-                    f"corrupt record; keeping the {number - 1} records "
-                    "before it",
-                    file=sys.stderr,
-                )
-                break
-            records.append(record)
+        valid_end = 0
+        terminated = True
+        # Binary read, so ``valid_end`` is an exact byte offset.
+        with self.path.open("rb") as fh:
+            for number, raw in enumerate(fh, start=1):
+                try:
+                    record = self._parse_line(raw.decode("utf-8"))
+                except UnicodeDecodeError:
+                    record = None
+                if record is None:
+                    print(
+                        f"repro: journal {self.path}:{number}: torn or "
+                        f"corrupt record; keeping the {number - 1} records "
+                        "before it",
+                        file=sys.stderr,
+                    )
+                    break
+                records.append(record)
+                valid_end += len(raw)
+                terminated = raw.endswith(b"\n")
         if not records or records[0].get("kind") != "header":
             return False
         header = records[0]
@@ -253,6 +270,11 @@ class RunJournal:
                 self.completed[key] = SimResult.from_dict(record["result"])
             elif record.get("kind") == "failure":
                 self.failed[key] = RunFailure.from_dict(record["failure"])
+        if valid_end < self.path.stat().st_size:
+            os.truncate(self.path, valid_end)
+        if not terminated:
+            with self.path.open("ab") as fh:
+                fh.write(b"\n")
         return True
 
     @staticmethod

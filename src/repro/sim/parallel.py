@@ -11,7 +11,7 @@ what the serial path does anyway).
 
 Guarantees, in order of importance:
 
-* **Bit-identical results.**  A worker rebuilds the workload from the
+* **Bit-identical results.**  A worker loads the workload for the
   same (name, scale, seed) triple and runs the same ``Simulator`` on a
   config cloned the same way the serial loop clones it; every RNG in
   the pipeline is seeded, so the :class:`SimResult` fields match the
@@ -25,17 +25,18 @@ Guarantees, in order of importance:
   ``ResultSet.add_failure`` in spec order (``on_error="collect"``).
   Any other exception is a genuine bug and propagates.
 
-Workers cache built workloads in a module global keyed by (name,
-scale, seed): the first spec touching a workload pays the build cost,
-subsequent specs in the same worker reuse it — mirroring the serial
-path's build-once-per-name dictionary.
+Workers cache loaded workloads in a module global keyed by (name,
+scale, seed): the first spec touching a workload loads it through the
+runner's ``_load_workload`` — the serial path's loader — and
+subsequent specs in the same worker reuse it.
 
-Since PR 5, workers do not re-synthesize traces either: ``run_suite``
-pre-compiles each distinct trace into the content-addressed cache
-(:mod:`repro.workloads.trace_cache`) before fan-out, and each worker's
-simulator memmaps the packed entry read-only — zero-copy under the
-default ``fork`` start (the parent's mapping is inherited), shared OS
-page cache under ``spawn``.
+Workers neither build workloads nor re-synthesize traces:
+``run_suite`` fills the content-addressed cache
+(:mod:`repro.workloads.trace_cache`) with each distinct trace and its
+workload's VMA layout before fan-out, so a worker rebuilds the
+workload from the layout and memmaps the packed trace read-only —
+zero-copy under the default ``fork`` start (the parent's mapping is
+inherited), shared OS page cache under ``spawn``.
 
 Execution itself lives in :mod:`repro.sim.supervisor` since PR 4: this
 module owns the *description* layer (specs, the worker function, the
@@ -60,7 +61,6 @@ from repro.workloads.registry import (
     SUITE,
     WORKLOADS,
     BuiltWorkload,
-    build_workload,
 )
 
 __all__ = [
@@ -231,8 +231,11 @@ def _worker_run(spec: RunSpec):
     key = (spec.workload, spec.scale, spec.workload_seed)
     built = _WORKER_WORKLOADS.get(key)
     if built is None:
-        built = build_workload(
-            spec.workload, scale=spec.scale, seed=spec.workload_seed
+        # Imported here: the runner imports this module.
+        from repro.sim import runner
+
+        built, _ = runner._load_workload(
+            spec.workload, spec.config, runner._sweep_cache(spec.config)
         )
         _WORKER_WORKLOADS[key] = built
     cfg = spec.config.clone(thp=spec.thp)

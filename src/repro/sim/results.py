@@ -101,7 +101,8 @@ class ResultSet:
         self.results: List[SimResult] = list(results or [])
         self.failures: List[RunFailure] = []
         # Filled by run_suite when the trace cache is in play: this
-        # sweep's {"root", "hits", "builds", "invalidated"} counters.
+        # sweep's {"root", "hits", "builds", "invalidated",
+        # "workloads_built"} counters.
         # Reporting metadata only — never part of SimResult, whose
         # fields are pinned by the golden bit-identity tests.
         self.trace_cache: Optional[dict] = None

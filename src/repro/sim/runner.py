@@ -16,7 +16,7 @@ bounded retry of hung or crashed workers.
 from __future__ import annotations
 
 import sys
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.errors import ConfigError, ReproError, SweepInterrupted
 from repro.schemes import registry as scheme_registry
@@ -25,8 +25,13 @@ from repro.sim.journal import RunJournal
 from repro.sim.parallel import make_specs, resolve_jobs
 from repro.sim.results import ResultSet, RunFailure
 from repro.sim.simulator import Simulator
-from repro.workloads.compile import compiled_trace_for, trace_spec
-from repro.workloads.registry import SUITE, BuiltWorkload, build_workload
+from repro.workloads.compile import compiled_trace_for, memoize_trace, trace_spec
+from repro.workloads.registry import (
+    SUITE,
+    BuiltWorkload,
+    build_workload,
+    workload_from_layout,
+)
 from repro.workloads.trace_cache import TraceCache, cache_for_config
 
 
@@ -106,8 +111,10 @@ def run_suite(
                 f"{fallback_reason}",
                 file=sys.stderr,
             )
-        cache = cache_for_config(base) if base.packed_traces else None
+        cache = _sweep_cache(base)
         stats_before = cache.stats() if cache is not None else None
+        pending = _pending_workloads(names, schemes, page_modes, jnl)
+        workloads_built = 0
         if jobs > 1 or run_timeout is not None:
             from repro.sim.supervisor import (
                 SupervisorPolicy,
@@ -120,15 +127,12 @@ def run_suite(
             )
             specs = make_specs(names, schemes, page_modes, base)
             if cache is not None:
-                # Pre-compile each distinct trace once, in the parent,
-                # before any worker forks: workers then memmap the
-                # cached entries instead of re-synthesizing the same
-                # trace jobs times.
-                _precompile_traces(
-                    _pending_workloads(names, schemes, page_modes, jnl),
-                    base,
-                    cache,
-                )
+                # Fill the cache once, in the parent, before any worker
+                # forks: workers then load each layout and memmap each
+                # trace instead of building the same workload jobs
+                # times.
+                for name in pending:
+                    workloads_built += _load_workload(name, base, cache)[1]
             results = run_specs_supervised(
                 specs,
                 jobs=jobs,
@@ -138,12 +142,18 @@ def run_suite(
                 policy=policy,
             )
         else:
+            workloads = {}
+            for name in pending:
+                workloads[name], was_built = _load_workload(name, base, cache)
+                workloads_built += was_built
             results = _run_serial(
                 names, schemes, page_modes, base, verbose, on_error, jnl,
-                cache,
+                workloads,
             )
         if cache is not None:
-            results.trace_cache = _cache_delta(cache, stats_before)
+            results.trace_cache = _cache_delta(
+                cache, stats_before, workloads_built
+            )
         return results
     finally:
         if owns_journal and jnl is not None:
@@ -173,48 +183,63 @@ def _pending_workloads(
     return pending
 
 
-def _precompile_traces(
-    names: List[str],
-    base: SimConfig,
-    cache: TraceCache,
-    built: Optional[Dict[str, BuiltWorkload]] = None,
-) -> None:
-    """Ensure the cache holds each pending workload's trace.
+def _sweep_cache(base: SimConfig) -> Optional[TraceCache]:
+    """The trace cache a sweep under ``base`` reads and fills."""
+    return cache_for_config(base) if base.packed_traces else None
 
-    A warm entry is a digest-keyed lookup plus a checksum pass — no
-    workload construction at all, which is where the warm-cache sweep
-    setup's >=5x win over cold comes from.  A cold miss builds the
-    workload (unless the caller already has it), synthesizes, packs
-    and stores."""
-    for name in names:
-        workload = built.get(name) if built else None
-        if workload is None:
-            spec = trace_spec(
+
+def _load_workload(
+    name: str, base: SimConfig, cache: Optional[TraceCache]
+) -> Tuple[BuiltWorkload, bool]:
+    """Workload ``name`` for a sweep under ``base``, with its trace
+    compiled, and whether it had to be built.
+
+    A verified cache entry whose sidecar carries the workload's VMA
+    layout needs no build (:func:`workload_from_layout`).  Otherwise
+    the workload is built through this module's ``build_workload`` and
+    its trace compiled: a miss stores trace and layout as one entry,
+    and an entry without a layout is still used for its trace.
+    """
+    compiled = None
+    if cache is not None:
+        compiled = cache.get(
+            trace_spec(
                 name,
                 base.footprint_scale,
                 base.workload_seed,
                 base.num_refs,
                 base.trace_seed,
             )
-            if cache.get(spec) is not None:
-                continue
-            try:
-                workload = build_workload(
-                    name, scale=base.footprint_scale, seed=base.workload_seed
-                )
-            except KeyError as exc:
-                raise ConfigError(exc.args[0] if exc.args else str(exc)) from exc
-        compiled_trace_for(workload, base.num_refs, base.trace_seed, cache)
+        )
+        if compiled is not None and compiled.layout is not None:
+            return workload_from_layout(compiled), False
+    try:
+        built = build_workload(
+            name, scale=base.footprint_scale, seed=base.workload_seed
+        )
+    except KeyError as exc:
+        # A typo'd workload name is a configuration mistake, not a
+        # crash: surface it as the CLI's one-line exit-code-2 path.
+        raise ConfigError(exc.args[0] if exc.args else str(exc)) from exc
+    if compiled is not None:
+        memoize_trace(built, compiled)
+    elif cache is not None:
+        compiled_trace_for(built, base.num_refs, base.trace_seed, cache)
+    return built, True
 
 
-def _cache_delta(cache: TraceCache, before: Dict[str, object]) -> Dict[str, object]:
-    """This sweep's share of the per-process cache counters."""
+def _cache_delta(
+    cache: TraceCache, before: Dict[str, object], workloads_built: int
+) -> Dict[str, object]:
+    """This sweep's share of the per-process cache counters, plus how
+    many workloads it had to build."""
     after = cache.stats()
     return {
         "root": after["root"],
         "hits": after["hits"] - before["hits"],
         "builds": after["builds"] - before["builds"],
         "invalidated": after["invalidated"] - before["invalidated"],
+        "workloads_built": workloads_built,
     }
 
 
@@ -226,42 +251,16 @@ def _run_serial(
     verbose: bool,
     on_error: str,
     jnl: Optional[RunJournal],
-    cache: Optional[TraceCache] = None,
+    built: Dict[str, BuiltWorkload],
 ) -> ResultSet:
-    """The in-process sweep loop, with optional journal checkpoints."""
+    """The in-process sweep loop, with optional journal checkpoints.
+    ``built`` holds every workload a non-journaled cell needs."""
     cells = [
         (thp, name, scheme)
         for thp in page_modes
         for name in names
         for scheme in schemes
     ]
-    # Build each workload once — but only the ones some non-journaled
-    # cell still needs: resuming an almost-finished sweep must not
-    # rebuild multi-second workloads for fully-journaled names.
-    needed = []
-    for thp, name, scheme in cells:
-        if jnl is not None and (
-            jnl.result_for(name, scheme, thp) is not None
-            or jnl.failure_for(name, scheme, thp) is not None
-        ):
-            continue
-        if name not in needed:
-            needed.append(name)
-    built: Dict[str, BuiltWorkload] = {}
-    for name in needed:
-        try:
-            built[name] = build_workload(
-                name, scale=base.footprint_scale, seed=base.workload_seed
-            )
-        except KeyError as exc:
-            # A typo'd workload name is a configuration mistake, not a
-            # crash: surface it as the CLI's one-line exit-code-2 path.
-            raise ConfigError(exc.args[0] if exc.args else str(exc)) from exc
-    if cache is not None:
-        # Compile each distinct trace once up front (the memo on the
-        # workload makes every cell below a lookup); with a warm cache
-        # this is a checksum + memmap per workload, not a synthesis.
-        _precompile_traces(needed, base, cache, built)
     results = ResultSet()
     try:
         for thp, name, scheme in cells:

@@ -97,8 +97,7 @@ class Simulator:
     def _populate(self) -> None:
         if self.manager is not None:
             self.manager.begin_batch()
-        for vma in self.workload.vmas:
-            self.process.mmap(vma, populate=True)
+        self.process.mmap_all(self.workload.vmas)
         if self.manager is not None:
             self.manager.end_batch()
 

@@ -32,12 +32,13 @@ so results stay bit-identical — with a host-level reliability layer:
   attached, completed cells are checkpointed as they finish and
   journal hits are replayed instead of re-run — a resumed sweep is
   bit-identical to an uninterrupted one.
-* **Shared traces.**  ``run_suite`` pre-compiles every distinct trace
-  into the content-addressed cache
-  (:mod:`repro.workloads.trace_cache`) before the pool spins up; the
-  workers supervised here memmap those packed entries read-only
-  instead of re-synthesizing them, so a respawned pool (or a retried
-  spec) re-opens a file rather than re-running a generator.
+* **Shared traces.**  ``run_suite`` fills the content-addressed cache
+  (:mod:`repro.workloads.trace_cache`) with every distinct trace and
+  its workload's VMA layout before the pool spins up; the workers
+  supervised here memmap those packed entries read-only and load the
+  layouts instead of re-synthesizing traces or rebuilding workloads,
+  so a respawned pool (or a retried spec) re-opens a file rather than
+  re-running a generator.
 * **Graceful shutdown.**  SIGINT/SIGTERM stop new submissions, drain
   the in-flight futures (workers ignore SIGINT, so Ctrl-C in a
   terminal does not kill them mid-cell), flush the journal, and raise

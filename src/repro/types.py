@@ -57,7 +57,9 @@ class PageSize(enum.IntEnum):
     @property
     def pages_4k(self) -> int:
         """Number of 4 KB base pages spanned by one page of this size."""
-        return self.value >> BASE_PAGE_SHIFT
+        # Shifting the member itself skips the enum's ``.value``
+        # descriptor; population and LVM inserts call this per page.
+        return self >> BASE_PAGE_SHIFT
 
     def encode(self) -> int:
         """The 2-bit size encoding used inside translation entries."""
@@ -122,10 +124,13 @@ class PTE:
         self._tag = self._integrity_tag()
 
     def _integrity_tag(self) -> int:
+        # ``page_size`` is an IntEnum: adding the member itself equals
+        # adding its ``.value``, without the enum descriptor call that
+        # bulk population would pay once per page.
         return (
             self.vpn * 0x9E3779B97F4A7C15
             + self.ppn * 0xC2B2AE3D27D4EB4F
-            + self.page_size.value
+            + self.page_size
         ) & 0xFFFFFFFF
 
     def is_intact(self) -> bool:

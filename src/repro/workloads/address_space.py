@@ -49,6 +49,29 @@ class BuiltAddressSpace:
     def total_pages(self) -> int:
         return sum(v.pages for v in self.vmas)
 
+    def to_layout(self) -> Dict[str, list]:
+        """This space as JSON-ready lists, in order: what the trace
+        cache stores beside a trace so that a warm sweep can skip the
+        build (:func:`repro.workloads.registry.workload_from_layout`)."""
+        return {
+            "vmas": [
+                [v.start_vpn, v.pages, int(v.perms), v.name, v.file_backed]
+                for v in self.vmas
+            ],
+            "segment_base_vpn": [[n, b] for n, b in self.segment_base_vpn.items()],
+        }
+
+    @classmethod
+    def from_layout(cls, layout: Dict[str, list]) -> "BuiltAddressSpace":
+        """Inverse of :meth:`to_layout`."""
+        return cls(
+            vmas=[
+                VMA(start, pages, Permission(perms), name, file_backed)
+                for start, pages, perms, name, file_backed in layout["vmas"]
+            ],
+            segment_base_vpn={n: b for n, b in layout["segment_base_vpn"]},
+        )
+
     def gap_coverage(self, gap: int = 1) -> float:
         total = 0
         matching = 0

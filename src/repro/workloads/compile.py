@@ -46,13 +46,15 @@ __all__ = [
     "GENERATOR_VERSION",
     "TRACE_DTYPE",
     "compiled_trace_for",
+    "memoize_trace",
     "pack_trace",
     "spec_digest",
     "trace_spec",
 ]
 
-#: Bump whenever any trace generator's output changes for the same
-#: (workload, scale, seeds, refs) inputs — the version is part of every
+#: Bump whenever any trace generator's output — or any workload's VMA
+#: layout, which cache entries also carry — changes for the same
+#: (workload, scale, seeds, refs) inputs.  The version is part of every
 #: cache key, so a bump invalidates all on-disk entries at once.
 GENERATOR_VERSION = 1
 
@@ -139,18 +141,26 @@ class CompiledTrace:
     reuses the trace.
     """
 
-    __slots__ = ("packed", "spec", "source", "_vas", "_vpns", "_va_col", "_vpn_col")
+    __slots__ = (
+        "packed", "spec", "source", "layout",
+        "_vas", "_vpns", "_va_col", "_vpn_col",
+    )
 
     def __init__(
         self,
         packed: np.ndarray,
         spec: Dict[str, object],
         source: str = "built",
+        layout: Optional[Dict[str, list]] = None,
     ):
         self.packed = packed
         self.spec = spec
         #: "built" (compiled in this process) or "cache" (memmapped).
         self.source = source
+        #: The workload's VMA layout
+        #: (:meth:`~repro.workloads.address_space.BuiltAddressSpace.to_layout`)
+        #: when the cache entry carries one, else None.
+        self.layout = layout
         self._vas: Optional[List[int]] = None
         self._vpns: Optional[List[int]] = None
         self._va_col: Optional[np.ndarray] = None
@@ -257,8 +267,12 @@ def compiled_trace_for(
     seed = getattr(built, "seed", None)
     if cache is not None and scale is not None and seed is not None:
         spec = trace_spec(built.info.name, scale, seed, num_refs, trace_seed)
+        # The layout rides in the same entry: (name, scale, seed) key
+        # it as fully as they key the trace.
         compiled = cache.load_or_build(
-            spec, lambda: pack_trace(built.trace(num_refs, trace_seed), kind_code)
+            spec,
+            lambda: pack_trace(built.trace(num_refs, trace_seed), kind_code),
+            layout_fn=built.space.to_layout,
         )
     else:
         spec = trace_spec(built.info.name, -1, -1, num_refs, trace_seed)
@@ -268,3 +282,11 @@ def compiled_trace_for(
     if memo is not None:
         memo[key] = compiled
     return compiled
+
+
+def memoize_trace(built, compiled: CompiledTrace) -> None:
+    """Record ``compiled`` — a cache hit for ``built``'s identity — as
+    ``built``'s trace, so :func:`compiled_trace_for` returns it without
+    a second cache lookup."""
+    spec = compiled.spec
+    built._packed_cache[(spec["num_refs"], spec["trace_seed"])] = compiled

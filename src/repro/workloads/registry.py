@@ -26,6 +26,7 @@ from repro.workloads.address_space import (
     build_address_space,
 )
 from repro.workloads.allocator import JEMALLOC, AllocatorModel
+from repro.workloads.compile import CompiledTrace, memoize_trace
 from repro.workloads.graph import GRAPH_KERNELS, GraphTracer
 from repro.workloads.gups import gups_trace
 from repro.workloads.kronecker import CSRGraph, kronecker_graph
@@ -376,4 +377,32 @@ def build_workload(
     if footprint_override is None and allocator is JEMALLOC:
         built.scale = scale
         built.seed = seed
+    return built
+
+
+def workload_from_layout(compiled: CompiledTrace) -> BuiltWorkload:
+    """The workload behind a trace-cache hit, without building it.
+
+    ``compiled`` must carry the VMA layout its cache entry stored.  The
+    result has the layout's VMAs and segment bases, and ``compiled`` as
+    its memoized trace; a trace for any other (refs, seed) builds the
+    workload once, on first use.
+    """
+    spec = compiled.spec
+    name, scale, seed = spec["workload"], spec["scale"], spec["workload_seed"]
+    rebuilt: List[BuiltWorkload] = []
+
+    def trace_fn(num_refs: int, trace_seed: int) -> np.ndarray:
+        if not rebuilt:
+            rebuilt.append(build_workload(name, scale=scale, seed=seed))
+        return rebuilt[0].trace(num_refs, trace_seed)
+
+    built = BuiltWorkload(
+        WORKLOADS.get(name) or PRODUCTION_WORKLOADS[name],
+        BuiltAddressSpace.from_layout(compiled.layout),
+        trace_fn,
+        scale=scale,
+        seed=seed,
+    )
+    memoize_trace(built, compiled)
     return built

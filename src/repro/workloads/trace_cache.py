@@ -4,7 +4,9 @@ Entries live under one directory (``$REPRO_CACHE_DIR`` or
 ``~/.cache/repro/traces``) as a pair of files per trace::
 
     <sha256-of-spec>.npy    the packed array (np.save format)
-    <sha256-of-spec>.json   sidecar: spec, payload checksum, sizes
+    <sha256-of-spec>.json   sidecar: spec, payload checksum, sizes,
+                            and the workload's VMA layout with its
+                            own checksum
 
 The key is the SHA-256 of the canonical-JSON trace spec (workload,
 scale, seeds, refs, generator version, dtype — see
@@ -24,9 +26,11 @@ Durability and trust rules:
   checks them against the sidecar before handing out
   ``np.load(..., mmap_mode="r")``.  A truncated, bit-flipped or
   unparsable entry is deleted and reported as a miss — rebuilt, never
-  trusted.
+  trusted.  The layout, stored as JSON text, is checked against its own
+  SHA-256 the same way.  An entry without a layout is still a valid
+  trace; the sweep just builds the workload for it.
 * **Read-only sharing.**  Loaded entries are read-only memmaps; sweep
-  workers forked after the parent's pre-compile pass share the parent's
+  workers forked after the parent's cache fill share the parent's
   mapping copy-on-write (zero-copy), and ``spawn`` workers mapping the
   same file share the OS page cache.  Entries are never mutated in
   place, so a mapping stays valid even if ``gc`` unlinks the file
@@ -129,9 +133,11 @@ class TraceCache:
             return None  # entry vanished between exists() and read
         except (OSError, ValueError):
             return self._invalidate(digest)
+        layout_text = meta.get("layout")
         if (
             meta.get("sidecar_version") != SIDECAR_VERSION
             or meta.get("digest") != digest
+            or meta.get("layout_sha256") != _text_sha256(layout_text)
         ):
             return self._invalidate(digest)
         try:
@@ -151,8 +157,12 @@ class TraceCache:
             return self._invalidate(digest)
         if packed.dtype != TRACE_DTYPE or packed.ndim != 1:
             return self._invalidate(digest)
+        try:
+            layout = None if layout_text is None else json.loads(layout_text)
+        except (TypeError, ValueError):
+            return self._invalidate(digest)
         self.hits += 1
-        return CompiledTrace(packed, spec, source="cache")
+        return CompiledTrace(packed, spec, source="cache", layout=layout)
 
     def _invalidate(self, digest: str) -> None:
         self.invalidated += 1
@@ -165,8 +175,14 @@ class TraceCache:
 
     # -- write side ---------------------------------------------------
 
-    def store(self, spec: Dict[str, object], packed: np.ndarray) -> CompiledTrace:
-        """Atomically persist one compiled trace; returns it wrapped.
+    def store(
+        self,
+        spec: Dict[str, object],
+        packed: np.ndarray,
+        layout: Optional[Dict[str, list]] = None,
+    ) -> CompiledTrace:
+        """Atomically persist one compiled trace, and the workload's VMA
+        layout if given (in the same sidecar write); returns it wrapped.
 
         A cache that cannot write (full or read-only filesystem) warns
         once per process and degrades to in-memory operation — the
@@ -191,9 +207,17 @@ class TraceCache:
                 "sha256": hashlib.sha256(blob).hexdigest(),
                 "created": time.time(),
             }
+            if layout is not None:
+                # Stored as JSON text, so that its checksum covers the
+                # exact bytes a reader parses.
+                text = json.dumps(layout, separators=(",", ":"))
+                meta["layout"] = text
+                meta["layout_sha256"] = _text_sha256(text)
             tmp_meta = self.root / f".{digest}.{os.getpid()}.json.tmp"
             with open(tmp_meta, "w") as fh:
-                json.dump(meta, fh, sort_keys=True)
+                # One C-encoded string: ``json.dump`` encodes its
+                # argument piecewise in pure Python.
+                fh.write(json.dumps(meta, sort_keys=True))
                 fh.flush()
                 os.fsync(fh.fileno())
             # Payload lands before the sidecar: an entry with a sidecar
@@ -204,17 +228,22 @@ class TraceCache:
         except OSError as exc:
             _warn_once(f"trace cache unusable at {self.root}: {exc}")
         self.builds += 1
-        return CompiledTrace(packed, spec, source="built")
+        return CompiledTrace(packed, spec, source="built", layout=layout)
 
     def load_or_build(
         self,
         spec: Dict[str, object],
         build_fn: Callable[[], np.ndarray],
+        layout_fn: Optional[Callable[[], Dict[str, list]]] = None,
     ) -> CompiledTrace:
+        """The verified entry for ``spec``, or a fresh one from
+        ``build_fn`` (plus ``layout_fn``'s layout, when given)."""
         compiled = self.get(spec)
         if compiled is not None:
             return compiled
-        return self.store(spec, build_fn())
+        return self.store(
+            spec, build_fn(), layout_fn() if layout_fn is not None else None
+        )
 
     # -- maintenance (the ``repro cache`` subcommand) -----------------
 
@@ -300,6 +329,13 @@ class TraceCache:
             _, stray_bytes = self._unlink_quietly(stray)
             reclaimed += stray_bytes
         return {"entries": removed, "bytes": reclaimed}
+
+
+def _text_sha256(text) -> Optional[str]:
+    """SHA-256 of a sidecar text field, or None when it is absent."""
+    if text is None:
+        return None
+    return hashlib.sha256(str(text).encode("utf-8")).hexdigest()
 
 
 _WARNED: set = set()

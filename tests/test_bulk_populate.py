@@ -1,0 +1,194 @@
+"""Bulk population (`Process.mmap_all` → `map_many`) against the
+per-page path it replaces.
+
+The contract: for any set of non-overlapping VMAs, in any order, with
+THP on or off, one ``map_many`` call leaves a page table in exactly the
+state the per-page ``Process.mmap(vma, populate=True)`` chain leaves —
+the same radix tables and paddrs, the same ECPT slots, bases, stats and
+CWT dict order, the same LVM index — and the same process and
+allocator state.
+"""
+
+import random
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.kernel.manager import LVMManager
+from repro.kernel.process import Process
+from repro.kernel.vma import VMA
+from repro.mem.allocator import BumpAllocator
+from repro.pagetables.ecpt import ECPT, _way_hash, _way_hash_column
+from repro.pagetables.radix import RadixPageTable
+from repro.types import PTE, Permission, TranslationError
+
+# Wall-clock fields of the LVM stats; everything else must match.
+_TIMING = ("management_time_s", "build_times_s", "retrain_times_s")
+
+
+def state(obj):
+    """A comparable dump of an object graph: dicts keep their
+    insertion order, PTEs compare by value, timings are dropped."""
+    if isinstance(obj, PTE):
+        return ("PTE", obj.vpn, obj.ppn, int(obj.page_size), int(obj.perms),
+                obj.accessed, obj.dirty, obj.present)
+    if obj is None or isinstance(obj, (bool, int, float, str)):
+        return obj
+    if isinstance(obj, np.generic):
+        return obj.item()
+    if isinstance(obj, dict):
+        return ("dict", [(state(k), state(v)) for k, v in obj.items()])
+    if isinstance(obj, (list, tuple)):
+        return (type(obj).__name__, [state(x) for x in obj])
+    if isinstance(obj, (set, frozenset)):
+        return ("set", sorted(obj))
+    if isinstance(obj, np.ndarray):
+        return ("ndarray", obj.tolist())
+    fields = dict(getattr(obj, "__dict__", {}))
+    for name in getattr(type(obj), "__slots__", ()):
+        fields[name] = getattr(obj, name)
+    out = []
+    for name, value in sorted(fields.items()):
+        if name in _TIMING:
+            continue
+        if name == "_table_allocs":
+            # Keyed by id(); the values, in allocation order, are the state.
+            value = list(value.values())
+        out.append((name, state(value)))
+    return (type(obj).__name__, out)
+
+
+@st.composite
+def vma_sets(draw):
+    """Non-overlapping VMAs, in a random mapping order: small and
+    THP-sized ones, aligned and not, some file-backed."""
+    count = draw(st.integers(min_value=1, max_value=12))
+    cursor = draw(st.integers(min_value=0, max_value=1 << 20))
+    vmas = []
+    for _ in range(count):
+        cursor += draw(st.sampled_from([0, 1, 7, 300, 512, 4096, 1 << 18]))
+        pages = draw(st.sampled_from([1, 2, 37, 511, 512, 513, 1024, 1500, 2048]))
+        vmas.append(VMA(
+            start_vpn=cursor,
+            pages=pages,
+            perms=draw(st.sampled_from([Permission.RW, Permission.RX])),
+            file_backed=draw(st.booleans()),
+        ))
+        cursor += pages
+    order = draw(st.permutations(range(count)))
+    return [vmas[i] for i in order]
+
+
+def populated(make_table, vmas, thp, coverage, bulk, batch):
+    allocator = BumpAllocator()
+    table = make_table(allocator)
+    process = Process(table, allocator=allocator, thp=thp, thp_coverage=coverage)
+    if batch:
+        table.begin_batch()
+    if bulk:
+        process.mmap_all(vmas)
+    else:
+        for vma in vmas:
+            process.mmap(vma, populate=True)
+    if batch:
+        table.end_batch()
+    return process
+
+
+def assert_same(make_table, vmas, thp, coverage, batch=False):
+    per_page = populated(make_table, vmas, thp, coverage, False, batch)
+    bulk = populated(make_table, vmas, thp, coverage, True, batch)
+    assert state(bulk.page_table) == state(per_page.page_table)
+    assert state(bulk.allocator) == state(per_page.allocator)
+    assert bulk.stats == per_page.stats
+    assert bulk._next_ppn == per_page._next_ppn
+    assert list(bulk.address_space) == list(per_page.address_space)
+
+
+PROPERTY = settings(max_examples=30, deadline=None)
+
+
+class TestBulkEqualsPerPage:
+    @PROPERTY
+    @given(vmas=vma_sets(), thp=st.booleans(), coverage=st.sampled_from([0.9, 1.0]))
+    def test_radix(self, vmas, thp, coverage):
+        assert_same(RadixPageTable, vmas, thp, coverage)
+
+    @PROPERTY
+    @given(
+        vmas=vma_sets(), thp=st.booleans(), coverage=st.sampled_from([0.9, 1.0]),
+        ways=st.sampled_from([2, 3]), initial=st.sampled_from([4, 16, 256]),
+    )
+    # The 2 MB table grows between two growths of the 4 KB table: their
+    # bases come from one allocator in PTE order.
+    @example(
+        vmas=[VMA(0, 100), VMA(1024, 5120), VMA(8192, 100)],
+        thp=True, coverage=1.0, ways=2, initial=4,
+    )
+    def test_ecpt(self, vmas, thp, coverage, ways, initial):
+        """Small tables and two ways force resizes, long kick chains
+        and resizes nested inside resizes."""
+        assert_same(
+            lambda a: ECPT(a, ways=ways, initial_size=initial),
+            vmas, thp, coverage,
+        )
+
+    @PROPERTY
+    @given(vmas=vma_sets(), thp=st.booleans())
+    def test_lvm_inside_a_batch(self, vmas, thp):
+        assert_same(LVMManager, vmas, thp, 0.9, batch=True)
+
+    def test_ecpt_into_a_non_empty_table(self):
+        """Entries already in the table are kicked and rehashed by the
+        bulk insert exactly as by single maps."""
+        rng = random.Random(5)
+        vpns = rng.sample(range(1 << 16), 3000)
+        ptes = [PTE(v, v + 7) for v in vpns]
+        one_by_one, bulk = ECPT(initial_size=8), ECPT(initial_size=8)
+        for pte in ptes:
+            one_by_one.map(pte)
+        for pte in ptes[:1000]:
+            bulk.map(pte)
+        bulk.map_many(ptes[1000:])
+        assert state(bulk) == state(one_by_one)
+
+
+class TestDuplicates:
+    """A duplicate raises what ``map`` raises, after mapping exactly the
+    entries before it."""
+
+    @pytest.mark.parametrize("make", [
+        RadixPageTable, lambda: ECPT(initial_size=8),
+    ])
+    def test_duplicate_in_batch(self, make):
+        ptes = [PTE(v, v) for v in (10, 11, 12, 11, 13)]
+        one_by_one, bulk = make(), make()
+        with pytest.raises(TranslationError) as expected:
+            for pte in ptes:
+                one_by_one.map(pte)
+        with pytest.raises(TranslationError) as raised:
+            bulk.map_many(ptes)
+        assert str(raised.value) == str(expected.value)
+        assert state(bulk) == state(one_by_one)
+
+    def test_lvm_batch_rejects_duplicates(self):
+        manager = LVMManager()
+        manager.begin_batch()
+        manager.map_many([PTE(1, 1), PTE(2, 2)])
+        with pytest.raises(TranslationError, match="already mapped"):
+            manager.map_many([PTE(3, 3), PTE(2, 9)])
+        manager.end_batch()
+        assert [p.vpn for p in manager.mappings()] == [1, 2, 3]
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    keys=st.lists(st.integers(min_value=0, max_value=(1 << 63) - 1), min_size=1),
+    way=st.integers(min_value=0, max_value=5),
+    capacity=st.integers(min_value=1, max_value=1 << 40),
+)
+def test_hash_column_matches_scalar_hash(keys, way, capacity):
+    column = _way_hash_column(np.array(keys, dtype=np.int64), way).tolist()
+    assert [h % capacity for h in column] == [_way_hash(k, way, capacity) for k in keys]

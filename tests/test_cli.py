@@ -95,6 +95,19 @@ class TestCommands:
         assert "Figure 9" in out
         assert "lvm" in out
 
+    def test_trace_cache_line_counts_workload_builds(self, tmp_path, capsys):
+        """A warm second sweep builds no workload; the count sits before
+        ``dir=`` so greps on the older prefix still match."""
+        argv = ["suite", "--workloads", "gups", "--schemes", "radix",
+                "--refs", "500", "--trace-cache-dir", str(tmp_path)]
+        for built in (1, 0):
+            assert main(argv) == 0
+            err = capsys.readouterr().err
+            assert (
+                f"trace cache: hits={1 - built} builds={built} rebuilds=0 "
+                f"workloads_built={built} dir="
+            ) in err
+
     def test_collisions_tiny(self, capsys):
         assert main([
             "collisions", "--workloads", "gups", "--refs", "2000"

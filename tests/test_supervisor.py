@@ -301,6 +301,30 @@ class TestJournal:
             reloaded.close()
         assert "torn or corrupt" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cut", [30, 1])  # mid-record; newline only
+    def test_records_after_a_resume_survive_the_next(self, tmp_path, cut):
+        """Tear the tail, resume, record, resume again: the record
+        written after the first resume must not sit behind torn bytes,
+        where the second resume would drop it."""
+        cfg = SimConfig(num_refs=123)
+        path = tmp_path / "j.jsonl"
+
+        def cell(scheme):
+            return SimResult("gups", scheme, False, 1, 2, 3.0)
+
+        with RunJournal.open(path, cfg) as journal:
+            for scheme in ("radix", "lvm"):
+                journal.record_result("gups", scheme, False, cell(scheme))
+        path.write_bytes(path.read_bytes()[:-cut])
+        with RunJournal.open(path, cfg, resume=True) as journal:
+            journal.record_result("gups", "ecpt", False, cell("ecpt"))
+        with RunJournal.open(path, cfg, resume=True) as journal:
+            assert journal.result_for("gups", "ecpt", False) is not None
+            assert journal.result_for("gups", "radix", False) is not None
+            kept_lvm = journal.result_for("gups", "lvm", False) is not None
+        assert kept_lvm == (cut == 1)
+        assert path.read_bytes().endswith(b"\n")
+
     def test_corrupt_checksum_stops_the_load(self, tmp_path):
         cfg = SimConfig(num_refs=123)
         path = tmp_path / "j.jsonl"

@@ -11,6 +11,9 @@ The properties pinned here:
   entry and rebuild from source — never a wrong trace;
 * a ``GENERATOR_VERSION`` bump changes every cache key, so stale
   entries can only be orphaned, not returned;
+* an entry carries its workload's VMA layout under its own checksum,
+  so a warm sweep builds no workload and still matches the golden
+  cells; a bit-flipped layout invalidates the entry;
 * the cache knobs never leak into the journal's config fingerprint
   (a sweep journaled with the cache on resumes with it off).
 """
@@ -349,3 +352,97 @@ class TestFingerprintInvariance:
         ) == base
         # ...while result-shaping fields still do.
         assert config_fingerprint(SimConfig(num_refs=REFS + 1)) != base
+
+
+# -- the workload layout in the sidecar ---------------------------------
+
+class TestWarmSweepSkipsBuild:
+    """A cache entry also carries its workload's VMA layout, so a warm
+    sweep builds no workload at all — and computes the same cells."""
+
+    @staticmethod
+    def _forbid_builds(monkeypatch):
+        from repro.sim import runner
+
+        def build_workload(*args, **kwargs):
+            raise AssertionError("a warm sweep built a workload")
+
+        monkeypatch.setattr(runner, "build_workload", build_workload)
+
+    @pytest.mark.timeout(600)
+    def test_warm_layout_only_sweep_matches_cold_and_golden(
+        self, golden, tmp_path, monkeypatch
+    ):
+        from repro.sim import run_suite
+
+        monkeypatch.setenv("REPRO_OVERSUBSCRIBE", "1")
+        schemes = list(dict.fromkeys(r["scheme"] for r in golden["results"]))
+        cfg = SimConfig(num_refs=golden["refs"], trace_cache_dir=str(tmp_path))
+        cold = run_suite([golden["workload"]], schemes, config=cfg)
+        assert cold.trace_cache["builds"] == 1
+        assert cold.trace_cache["workloads_built"] == 1
+        self._forbid_builds(monkeypatch)
+        by_cell = {(r["scheme"], r["thp"]): r for r in golden["results"]}
+        for jobs in (1, 2):
+            warm = run_suite([golden["workload"]], schemes, config=cfg, jobs=jobs)
+            assert warm.trace_cache["hits"] == 1
+            assert warm.trace_cache["builds"] == 0
+            assert warm.trace_cache["workloads_built"] == 0
+            assert [asdict(r) for r in warm.results] == \
+                [asdict(r) for r in cold.results]
+            for run in warm.results:
+                assert asdict(run) == by_cell[(run.scheme, run.thp)], jobs
+
+    def test_layout_only_workload(self, tmp_path):
+        """Same VMAs and bases as the built workload, the cache hit as
+        its trace, and any other trace built on first use."""
+        from repro.workloads.registry import workload_from_layout
+
+        real = build_workload("gups")
+        compiled_trace_for(real, REFS, TRACE_SEED, TraceCache(tmp_path))
+        hit = TraceCache(tmp_path).get(_spec())
+        loaded = workload_from_layout(hit)
+        assert loaded.space == real.space
+        assert list(loaded.space.segment_base_vpn) == \
+            list(real.space.segment_base_vpn)
+        assert compiled_trace_for(loaded, REFS, TRACE_SEED, None) is hit
+        assert (loaded.trace(REFS + 1, 2) == real.trace(REFS + 1, 2)).all()
+
+    def _sweep(self, tmp_path):
+        from repro.sim import run_suite
+
+        cfg = SimConfig(num_refs=REFS, trace_cache_dir=str(tmp_path))
+        return run_suite(["gups"], ["radix", "lvm"], config=cfg)
+
+    def _sidecar(self, tmp_path):
+        [meta_path] = tmp_path.glob("*.json")
+        return meta_path, json.loads(meta_path.read_text())
+
+    def test_bit_flipped_layout_invalidates_the_entry(self, tmp_path):
+        cold = self._sweep(tmp_path)
+        meta_path, meta = self._sidecar(tmp_path)
+        layout = meta["layout"]
+        flipped = json.loads(layout)
+        flipped["vmas"][0][0] ^= 1  # one bit of a VMA start
+        meta["layout"] = json.dumps(flipped, separators=(",", ":"))
+        meta_path.write_text(json.dumps(meta, sort_keys=True))
+        rerun = self._sweep(tmp_path)
+        assert rerun.trace_cache["invalidated"] == 1
+        assert rerun.trace_cache["builds"] == 1
+        assert rerun.trace_cache["workloads_built"] == 1
+        assert [asdict(r) for r in rerun.results] == \
+            [asdict(r) for r in cold.results]
+        assert self._sidecar(tmp_path)[1]["layout"] == layout
+
+    def test_entry_without_layout_is_a_trace_that_means_build(self, tmp_path):
+        cold = self._sweep(tmp_path)
+        meta_path, meta = self._sidecar(tmp_path)
+        del meta["layout"], meta["layout_sha256"]
+        meta_path.write_text(json.dumps(meta, sort_keys=True))
+        rerun = self._sweep(tmp_path)
+        assert rerun.trace_cache["hits"] == 1
+        assert rerun.trace_cache["builds"] == 0
+        assert rerun.trace_cache["invalidated"] == 0
+        assert rerun.trace_cache["workloads_built"] == 1
+        assert [asdict(r) for r in rerun.results] == \
+            [asdict(r) for r in cold.results]

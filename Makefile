@@ -33,7 +33,7 @@ chaos:
 	$(PYTHON) -m pytest tests/test_faults_unit.py tests/test_faults_chaos.py -q
 	$(PYTHON) -m repro chaos --refs $(REFS) --fault-rate 1e-3
 
-# Sweep-engine benchmark: serial vs parallel vs TLB fast path.
+# Sweep-engine benchmark: trace cache, serial vs parallel, supervision.
 # Refreshes BENCH_sweep.json at the repo root.
 bench:
 	PYTHONPATH=src:$$PYTHONPATH $(PYTHON) benchmarks/bench_sweep.py \

@@ -1,34 +1,22 @@
 #!/usr/bin/env python
-"""Sweep-engine benchmark: trace cache, serial vs parallel, TLB fast path.
+"""Sweep-engine benchmark: trace cache, serial vs parallel, supervision.
 
-Times five things and writes ``BENCH_sweep.json`` at the repo root:
+Times four things and writes ``BENCH_sweep.json`` at the repo root:
 
 1. **Trace-cache setup phase** — cold (build workload, synthesize,
    pack, store) vs warm (verify checksum, memmap) pre-compilation of
    the sweep's distinct traces, into a fresh cache directory.  The
    warm path must be >= 5x faster — it is the reason sweep workers
    never re-synthesize traces.
-2. **Single-run translate loop** — refs/sec with the L1 front index
-   (``TLBConfig.front_index``) off vs on, per workload.  This A/Bs the
-   hot-path optimisation inside one process; results are bit-identical
-   either way (asserted here on every run).
-3. **Vectorized epoch engine** — refs/sec of the scalar translate
-   loop vs the whole-array batch engine (``repro.sim.vectorized``),
-   per workload on the scaled grid plus a hit-dominated hot-loop
-   microbenchmark under unscaled (Table-1) geometry where the batch
-   path dominates and the engine targets >= 10x.  Every comparison
-   asserts bit-identity, and each engine run records its per-phase
-   fastpath breakdown (front-hit batches vs scalar miss path vs the
-   closed-form miss-batch path) from ``Simulator.vectorized_stats``.
-4. **Serial sweep** — ``run_suite(jobs=1)`` wall seconds over the
+2. **Serial sweep** — ``run_suite(jobs=1)`` wall seconds over the
    chosen (workload × scheme × thp) grid.
-5. **Parallel sweep** — the same grid with ``jobs=N`` worker
+3. **Parallel sweep** — the same grid with ``jobs=N`` worker
    processes, plus an assertion that the ResultSet matches the serial
    one field for field.  ``jobs`` is clamped to the visible CPU count
    (an oversubscribed pool measured 0.77x of serial here once); when
    the clamp lands on 1 the sweep engine's own guardrail makes
    "parallel" the serial path, reported as such with speedup 1.0.
-6. **Supervision overhead** — the parallel grid with per-run deadlines
+4. **Supervision overhead** — the parallel grid with per-run deadlines
    and retries armed (journal off), asserting bit-identity and
    reporting the extra parent CPU the supervisor's deadline
    bookkeeping costs, as a fraction of the sweep's total CPU;
@@ -56,27 +44,17 @@ import time
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
-from repro.mmu.hierarchy import HierarchyConfig
-from repro.mmu.tlb import TLBConfig
 from repro.sim.config import SimConfig
 from repro.sim.runner import _load_workload, run_suite
-from repro.sim.simulator import Simulator
-from repro.workloads.registry import BuiltWorkload, build_workload
 from repro.workloads.trace_cache import TraceCache
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUT = REPO_ROOT / "BENCH_sweep.json"
-# bfs exercises the L1 fast path (~50% L1-4K hit rate under the scaled
-# TLBs); gups is the adversarial case (every reference misses, so the
-# front index only pays maintenance).  Together they bound the effect.
+# bfs hits the L1 TLB on ~50% of its references under the scaled TLBs;
+# gups misses on nearly every one.  Together they bound the loop cost.
 DEFAULT_WORKLOADS = ("bfs", "gups")
 DEFAULT_SCHEMES = ("radix", "ecpt", "lvm")
 BEST_OF = 3
-# The single-run A/B is cheap (sub-second runs) but sensitive to CPU
-# contention bursts; more rounds buy stability where it is affordable.
-FASTPATH_BEST_OF = 7
 
 
 def bench_trace_cache(workloads, refs: int) -> dict:
@@ -119,185 +97,6 @@ def bench_trace_cache(workloads, refs: int) -> dict:
         "speedup": round(speedup, 1),
         "cache_bytes": cache_bytes,
     }
-
-
-def _time_single_run(workload, refs: int, front: bool):
-    """One simulator run; returns (refs/sec, wall seconds, result)."""
-    cfg = SimConfig(num_refs=refs)
-    cfg.tlb.front_index = front
-    sim = Simulator("radix", workload, cfg)
-    start = time.perf_counter()
-    result = sim.run()
-    wall = time.perf_counter() - start
-    return refs / wall, wall, result
-
-
-def bench_fastpath(workloads, refs: int) -> dict:
-    """A/B the front-index fast path, asserting bit-identity.
-
-    The workload (and its memoized trace) is built once and shared, a
-    warm-up run absorbs one-time costs, and each variant keeps its
-    best of ``FASTPATH_BEST_OF`` runs — wall-clock on a busy box is
-    noisy and we are comparing code paths, not machine load.
-    """
-    rows = []
-    for name in workloads:
-        workload = build_workload(name, scale=64, seed=0)
-        _time_single_run(workload, refs, front=True)  # warm-up
-        base_rate = base_wall = fast_rate = fast_wall = None
-        base_res = fast_res = None
-        for _ in range(FASTPATH_BEST_OF):
-            rate, wall, base_res = _time_single_run(workload, refs, front=False)
-            if base_rate is None or rate > base_rate:
-                base_rate, base_wall = rate, wall
-            rate, wall, fast_res = _time_single_run(workload, refs, front=True)
-            if fast_rate is None or rate > fast_rate:
-                fast_rate, fast_wall = rate, wall
-        if asdict(base_res) != asdict(fast_res):
-            raise AssertionError(
-                f"front index changed results for {name} — refusing to "
-                "report a speedup that buys the wrong numbers"
-            )
-        rows.append(
-            {
-                "workload": name,
-                "baseline_refs_per_sec": round(base_rate, 1),
-                "fastpath_refs_per_sec": round(fast_rate, 1),
-                "baseline_wall_seconds": round(base_wall, 3),
-                "fastpath_wall_seconds": round(fast_wall, 3),
-                "speedup": round(fast_rate / base_rate, 3),
-            }
-        )
-        print(
-            f"  fastpath {name:8s} {base_rate:9.0f} -> {fast_rate:9.0f} "
-            f"refs/s  ({fast_rate / base_rate:.2f}x)"
-        )
-    return {"scheme": "radix", "refs": refs, "runs": rows}
-
-
-def _hot_loop_workload() -> BuiltWorkload:
-    """A hit-dominated microbenchmark: a cyclic 8-byte-stride loop over
-    16 KB of gups's heap.  Four pages and 256 cache lines stay resident
-    in the (unscaled) L1 TLB and L1D after the first lap, so nearly
-    every reference replays through the engine's whole-array batch
-    path — the regime the engine is built for, which no built-in graph
-    workload reaches (their random property accesses cap the L1-TLB
-    hit rate near 50% even unscaled)."""
-    gups = build_workload("gups", scale=64, seed=0)
-    base = int(gups.trace(16, 1)[0]) & ~0xFFF
-
-    def trace_fn(num_refs, trace_seed):
-        offsets = (np.arange(num_refs, dtype=np.int64) * 8) % (16 << 10)
-        return base + offsets
-
-    return BuiltWorkload(gups.info, gups.space, trace_fn)
-
-
-def _time_engine(scheme, workload, refs, vectorized, cfg_factory, rounds):
-    """Best-of-``rounds`` run; returns (refs/sec, result, engine stats)."""
-    best_rate = result = stats = None
-    for _ in range(rounds):
-        cfg = cfg_factory()
-        cfg.num_refs = refs
-        cfg.vectorized_engine = vectorized
-        sim = Simulator(scheme, workload, cfg)
-        start = time.perf_counter()
-        res = sim.run()
-        wall = time.perf_counter() - start
-        rate = refs / wall
-        if best_rate is None or rate > best_rate:
-            best_rate, result, stats = rate, res, sim.vectorized_stats
-    return best_rate, result, stats
-
-
-def _vectorized_row(label, scheme, workload, refs, cfg_factory,
-                    rounds=BEST_OF) -> dict:
-    base_rate, base_res, _ = _time_engine(
-        scheme, workload, refs, False, cfg_factory, rounds
-    )
-    vec_rate, vec_res, stats = _time_engine(
-        scheme, workload, refs, True, cfg_factory, rounds
-    )
-    if asdict(base_res) != asdict(vec_res):
-        raise AssertionError(
-            f"vectorized engine changed results for {label} — refusing "
-            "to report a speedup that buys the wrong numbers"
-        )
-    row = {
-        "run": label,
-        "scheme": scheme,
-        "refs": refs,
-        "scalar_refs_per_sec": round(base_rate, 1),
-        "vectorized_refs_per_sec": round(vec_rate, 1),
-        "speedup": round(vec_rate / base_rate, 3),
-    }
-    if stats is None:
-        row["breakdown"] = None
-        row["note"] = "engine did not engage (try_build declined the run)"
-    else:
-        total = max(1, stats["batched_refs"] + stats["scalar_refs"])
-        row["breakdown"] = {
-            **stats,
-            # Per-phase fastpath split: batched refs resolved entirely in
-            # whole-array math (front-index hit + resident L1D line);
-            # miss-batch refs took the closed-form single-access walk;
-            # the rest ran the full scalar translate + data-hierarchy
-            # path (including every reference of a bailed epoch).
-            "front_hit_fraction": round(stats["batched_refs"] / total, 4),
-            "missbatch_fraction": round(stats["missbatch_refs"] / total, 4),
-            "scalar_path_fraction": round(
-                (stats["scalar_refs"] - stats["missbatch_refs"]) / total, 4
-            ),
-        }
-    print(
-        f"  engine   {label:18s} {base_rate:9.0f} -> {vec_rate:9.0f} "
-        f"refs/s  ({vec_rate / base_rate:.2f}x)"
-    )
-    return row
-
-
-def bench_vectorized(workloads, refs: int) -> dict:
-    """Scalar translate loop vs the vectorized epoch engine.
-
-    Three kinds of rows, all asserted bit-identical before any speedup
-    is reported:
-
-    * each sweep workload under the scaled default grid — graph
-      workloads are miss-heavy there, so the adaptive bail keeps the
-      engine near 1.0x rather than winning (the honest number);
-    * ``gups`` under the ``ideal`` scheme with the bail threshold
-      forced off (``vectorized_min_fast=0`` — the adaptive bail would
-      otherwise route these all-miss epochs straight to the scalar
-      span), where every reference misses the TLB and the closed-form
-      **miss-batch** path carries the run (the breakdown shows it);
-    * the hot-loop microbenchmark under unscaled Table-1 geometry,
-      where the whole-array batch path dominates and the engine's
-      >= 10x target applies.
-    """
-    rows = [
-        _vectorized_row(
-            f"{name}-scaled", "radix", build_workload(name, scale=64, seed=0),
-            refs, SimConfig,
-        )
-        for name in workloads
-    ]
-    rows.append(
-        _vectorized_row(
-            "gups-ideal-forced", "ideal",
-            build_workload("gups", scale=64, seed=0), refs,
-            lambda: SimConfig(vectorized_min_fast=0.0),
-        )
-    )
-    # The first lap of the loop runs scalar (one 4096-ref epoch fills
-    # the TLB/L1D); enough laps after it make that a rounding error.
-    hot_refs = max(400_000, refs)
-    hot_row = _vectorized_row(
-        "hot-loop-unscaled", "radix", _hot_loop_workload(), hot_refs,
-        lambda: SimConfig(hierarchy=HierarchyConfig(), tlb=TLBConfig()),
-    )
-    hot_row["target_speedup"] = 10.0
-    rows.append(hot_row)
-    return {"rows": rows, "hit_dominated_speedup": hot_row["speedup"]}
 
 
 def bench_sweep(workloads, schemes, refs: int, jobs: int, requested_jobs: int) -> dict:
@@ -498,10 +297,6 @@ def main(argv=None) -> int:
         os.environ["REPRO_CACHE_DIR"] = bench_cache
         print("trace cache (cold compile+store vs warm verify+memmap):")
         trace_cache = bench_trace_cache(args.workloads, args.refs)
-        print("single-run fast path (front index off vs on):")
-        fastpath = bench_fastpath(args.workloads, args.refs)
-        print("vectorized epoch engine (scalar loop vs batch engine):")
-        vectorized = bench_vectorized(args.workloads, args.refs)
         print("sweep (serial vs parallel, identical grids):")
         sweep = bench_sweep(
             args.workloads, args.schemes, args.refs, jobs, requested_jobs
@@ -527,8 +322,6 @@ def main(argv=None) -> int:
         "workloads": list(args.workloads),
         "schemes": list(args.schemes),
         "trace_cache": trace_cache,
-        "fastpath": fastpath,
-        "vectorized": vectorized,
         "sweep": sweep,
         "supervision": supervision,
     }

@@ -107,27 +107,6 @@ class Cache:
             cache_set.pop(next(iter(cache_set)))
         cache_set[tag] = None
 
-    def lru_snapshot(self):
-        """Yield (set index, [line numbers LRU → MRU]) per resident set.
-
-        Read-only export for consumers that model residency bounds over
-        a window (the vectorized engine's guaranteed-hit analysis);
-        line number = tag * num_sets + set index, i.e. paddr >> 6 for
-        the stock 64 B mapping.
-        """
-        num_sets = self.num_sets
-        for set_idx, cache_set in self._sets.items():
-            yield set_idx, [tag * num_sets + set_idx for tag in cache_set]
-
-    def live_set(self, set_idx: int) -> Dict[int, None]:
-        """The live (insertion-ordered) tag dict of one set, created on
-        demand — the vectorized engine's batched MRU-fixup hook."""
-        cache_set = self._sets.get(set_idx)
-        if cache_set is None:
-            cache_set = {}
-            self._sets[set_idx] = cache_set
-        return cache_set
-
     def contains(self, paddr: int) -> bool:
         set_idx, tag = self._locate(paddr)
         cache_set = self._sets.get(set_idx)

@@ -8,10 +8,10 @@ returns the translation and the cycles the reference spent in the MMU
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple
+from typing import Optional, Tuple
 
-from repro.mmu.tlb import TLBArray, TLBConfig, TLBHierarchy
-from repro.types import PTE, PageSize
+from repro.mmu.tlb import TLBConfig, TLBHierarchy
+from repro.types import PTE
 
 
 @dataclass
@@ -38,29 +38,6 @@ class MMUStats:
         return 1.0 - self.l2_tlb_hits / reached_l2
 
 
-class PackedTLBContext(NamedTuple):
-    """Snapshot handle exported by :meth:`MMU.packed_context`.
-
-    ``front`` and ``l1_4k`` are *live* structures — the fast loop reads
-    the front dict fresh on every probe, which is why the PR 5 loop
-    needs no revalidation.  Consumers that derive cached state from the
-    snapshot (sorted key arrays, membership masks — the vectorized
-    engine) must not trust that derived state past a membership change:
-    ``version`` pins the L1 membership epoch at export time, and
-    :meth:`is_stale` reports whether any walker-side fill, eviction,
-    invalidate or flush has happened since.  Stale consumers either
-    rebuild or replay :attr:`TLBArray.membership_log` deltas.
-    """
-
-    front: dict
-    l1_4k: TLBArray
-    stats: "MMUStats"
-    version: int
-
-    def is_stale(self) -> bool:
-        return self.l1_4k.membership_version != self.version
-
-
 class MMU:
     """TLBs + page-table walker for one hardware thread."""
 
@@ -68,11 +45,6 @@ class MMU:
         self.walker = walker
         self.tlb = TLBHierarchy(tlb_config)
         self.stats = MMUStats()
-        # Hot-path shortcut: the L1 4 KB array's front index (see
-        # :class:`~repro.mmu.tlb.TLBArray`).  An empty dict when the
-        # index is disabled, so ``translate`` needs no mode branch.
-        self._l1_4k = self.tlb.l1[PageSize.SIZE_4K]
-        self._front = self._l1_4k.front if self._l1_4k.front is not None else {}
 
     def translate(self, va: int, asid: int = 0) -> Tuple[Optional[PTE], int]:
         """Translate a virtual address; returns (pte, mmu cycles).
@@ -82,17 +54,6 @@ class MMU:
         """
         stats = self.stats
         vpn = va >> 12
-        entry = self._front.get(vpn)
-        if entry is not None and entry[0] == asid:
-            # Mirror of the slow path's first probe hitting: same MRU
-            # move, same counters, zero latency — minus the probe loop.
-            pte, tlb_set, key = entry[1], entry[2], entry[3]
-            del tlb_set[key]
-            tlb_set[key] = pte
-            self._l1_4k.hits += 1
-            stats.translations += 1
-            stats.l1_tlb_hits += 1
-            return pte, 0
         stats.translations += 1
         pte, tlb_latency = self.tlb.lookup(vpn, asid)
         if pte is not None:
@@ -112,29 +73,6 @@ class MMU:
             return None, tlb_latency + outcome.cycles
         self.tlb.insert(outcome.pte, asid)
         return outcome.pte, tlb_latency + outcome.cycles
-
-    def packed_context(self) -> PackedTLBContext:
-        """Export the L1 front-index context for the packed-trace loops.
-
-        The scalar fast loop (:meth:`Simulator.run_standard`) inlines
-        the ``translate`` front-index probe using the trace's
-        precomputed VPN column, charging exactly the counters the probe
-        above charges; on a front miss it falls through to
-        :meth:`translate`, whose own (missing) probe is a no-op.  The
-        front index is an empty dict when disabled, so the caller needs
-        no mode branch — every probe just misses.
-
-        The returned :class:`PackedTLBContext` carries the L1-4K
-        membership version at export time: any consumer that caches
-        state *derived* from the snapshot (rather than re-probing the
-        live dict per reference) must check :meth:`~PackedTLBContext.
-        is_stale` — a walker-side TLB fill mid-epoch bumps the version,
-        so a stale derived index can never be used silently.
-        """
-        return PackedTLBContext(
-            self._front, self._l1_4k, self.stats,
-            self._l1_4k.membership_version,
-        )
 
     def invalidate(self, vpn: int, asid: int = 0) -> None:
         """TLB shootdown for one page (section 5.2)."""

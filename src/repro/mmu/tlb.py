@@ -9,7 +9,7 @@ its own VPN granularity) — exactly what x86 L1/L2 TLBs do.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.types import PTE, PageSize
 
@@ -17,20 +17,9 @@ from repro.types import PTE, PageSize
 class TLBArray:
     """One set-associative TLB array for a single page size."""
 
-    def __init__(
-        self,
-        name: str,
-        entries: int,
-        ways: int,
-        page_size: PageSize,
-        front_index: bool = False,
-    ):
+    def __init__(self, name: str, entries: int, ways: int, page_size: PageSize):
         if entries < ways:
             raise ValueError(f"{name}: need at least one set")
-        if front_index and page_size is not PageSize.SIZE_4K:
-            # The front index maps base-page VPNs directly; only the
-            # 4 KB array has page_vpn == vpn.
-            raise ValueError(f"{name}: front index requires 4 KB pages")
         self.name = name
         self.entries = entries
         self.ways = ways
@@ -43,26 +32,6 @@ class TLBArray:
         self._sets: Dict[int, Dict[Tuple[int, int], PTE]] = {}
         self.hits = 0
         self.misses = 0
-        # Optional O(1) front index for the simulator's hot path:
-        # vpn -> (asid, pte, set dict, set key), kept exactly in sync
-        # with the array's contents (insert/evict/invalidate/flush).
-        # When two ASIDs map the same VPN the index keeps the latest
-        # insert; a mismatched hit simply falls back to the slow probe,
-        # so contents and stats stay bit-identical either way.
-        self.front: Optional[Dict[int, tuple]] = {} if front_index else None
-        # Membership epoch: bumped on every change to *which* entries
-        # the array holds (insert, replace, eviction, invalidate,
-        # flush).  LRU reordering on a hit does not bump it.  Consumers
-        # that export a membership snapshot (MMU.packed_context, the
-        # vectorized trace engine) compare this against the version
-        # they snapshotted at to detect staleness.
-        self.membership_version = 0
-        # Optional membership delta log: when a consumer attaches a
-        # list here, every membership change is appended as
-        # ("add", asid, page_vpn, pte, set dict, set key) or
-        # ("del", asid, page_vpn), in mutation order.  This lets a
-        # snapshot holder replay deltas instead of re-walking the sets.
-        self.membership_log: Optional[List[tuple]] = None
 
     def _key(self, vpn: int, asid: int) -> Tuple[int, Tuple[int, int]]:
         page_vpn = vpn // self._page_span
@@ -85,69 +54,25 @@ class TLBArray:
         return None
 
     def insert(self, pte: PTE, asid: int) -> None:
-        front = self.front
-        log = self.membership_log
         page_vpn = pte.vpn // self._page_span
         key = (asid, page_vpn)
         tlb_set = self._sets.setdefault(page_vpn % self.num_sets, {})
         if key in tlb_set:
             del tlb_set[key]
         elif len(tlb_set) >= self.ways:
-            victim = next(iter(tlb_set))
-            del tlb_set[victim]
-            if front is not None:
-                entry = front.get(victim[1])
-                if entry is not None and entry[0] == victim[0]:
-                    del front[victim[1]]
-            if log is not None:
-                log.append(("del", victim[0], victim[1]))
+            del tlb_set[next(iter(tlb_set))]  # evict LRU
         tlb_set[key] = pte
-        self.membership_version += 1
-        if front is not None:
-            front[key[1]] = (asid, pte, tlb_set, key)
-        if log is not None:
-            # A re-insert of a present key is logged as an "add" too:
-            # membership is unchanged but the PTE payload may not be.
-            log.append(("add", asid, page_vpn, pte, tlb_set, key))
 
     def invalidate(self, vpn: int, asid: int) -> None:
         set_idx, key = self._key(vpn, asid)
         tlb_set = self._sets.get(set_idx)
-        if tlb_set is not None and tlb_set.pop(key, None) is not None:
-            self.membership_version += 1
-            if self.membership_log is not None:
-                self.membership_log.append(("del", asid, key[1]))
-        front = self.front
-        if front is not None:
-            entry = front.get(key[1])
-            if entry is not None and entry[0] == asid:
-                del front[key[1]]
+        if tlb_set is not None:
+            tlb_set.pop(key, None)
 
     def flush_asid(self, asid: int) -> None:
-        log = self.membership_log
         for tlb_set in self._sets.values():
             for key in [k for k in tlb_set if k[0] == asid]:
                 del tlb_set[key]
-                self.membership_version += 1
-                if log is not None:
-                    log.append(("del", asid, key[1]))
-        front = self.front
-        if front is not None:
-            for vpn in [v for v, entry in front.items() if entry[0] == asid]:
-                del front[vpn]
-
-    def snapshot_entries(self) -> Iterator[tuple]:
-        """Yield every resident entry as (asid, page_vpn, pte, set dict,
-        set key), LRU-first within each set.
-
-        Together with :attr:`membership_version` (capture it first) and
-        :attr:`membership_log` this is the array's snapshot/export API:
-        a consumer walks the entries once, then either replays the log
-        or discards its snapshot when the version moves.
-        """
-        for tlb_set in self._sets.values():
-            for key, pte in tlb_set.items():
-                yield key[0], key[1], pte, tlb_set, key
 
     @property
     def accesses(self) -> int:
@@ -169,11 +94,6 @@ class TLBConfig:
     l2_entries_per_size: int = 2048
     l2_ways: int = 12
     l2_latency: int = 7  # cycles to deliver a hit from the L2 TLB
-    # Simulator-only speed knob: keep a direct VPN index in front of
-    # the L1 4 KB array so the common L1-hit case is one dict probe.
-    # Purely an implementation detail of the model — results are
-    # bit-identical either way (benchmarks/bench_sweep.py A/Bs it).
-    front_index: bool = True
 
     def validate(self) -> None:
         """Reject impossible TLB geometries with a clear message."""
@@ -213,8 +133,8 @@ class TLBConfig:
         Scaling reach preserves the paper's miss-rate regime.
         """
         base = TLBConfig()
-        # ``replace`` keeps every field not named here (latency, the
-        # front-index knob, anything added later) at the base value.
+        # ``replace`` keeps every field not named here (latency,
+        # anything added later) at the base value.
         return replace(
             base,
             l1_4k_entries=max(8, base.l1_4k_entries // factor),
@@ -233,8 +153,7 @@ class TLBHierarchy:
         self.config = c
         self.l1 = {
             PageSize.SIZE_4K: TLBArray(
-                "L1-4K", c.l1_4k_entries, c.l1_4k_ways, PageSize.SIZE_4K,
-                front_index=c.front_index,
+                "L1-4K", c.l1_4k_entries, c.l1_4k_ways, PageSize.SIZE_4K
             ),
             PageSize.SIZE_2M: TLBArray(
                 "L1-2M", c.l1_2m_entries, c.l1_2m_ways, PageSize.SIZE_2M

@@ -11,10 +11,6 @@ from repro.schemes.registry import register
 class ASAPScheme(RadixWalkCacheStats, SchemeDescriptor):
     name = "asap"
     description = "radix walk plus direct leaf/PDE prefetching (extra traffic)"
-    # ASAP's prefetches fire inside the walker, i.e. only on the
-    # scalar miss path — TLB-hit batching stays exact.
-    trace_loop = "standard"
-    supports_vectorized = True
 
     def make_page_table(self, sim):
         return RadixPageTable(sim.allocator)

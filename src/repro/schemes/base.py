@@ -73,32 +73,6 @@ class SchemeDescriptor:
     #: failures target the scheme's own structures, which must own a
     #: retry/backoff defense).
     wraps_allocator_under_faults: bool = False
-    #: Which trace loop drives this scheme: ``"standard"`` translates
-    #: every reference through the TLB hierarchy; ``"virtual_hierarchy"``
-    #: is Midgard's virtually-indexed-cache loop (walks only on LLC
-    #: misses).  :meth:`run_trace` dispatches on this.
-    trace_loop: str = "standard"
-    #: The standard loop may process this scheme's references through
-    #: the epoch-based vectorized engine (repro/sim/vectorized.py).
-    #: True for every scheme whose walker only runs on the scalar miss
-    #: path; a custom scheme whose walker or page table observes
-    #: per-reference state (beyond walks) must opt out.
-    supports_vectorized: bool = True
-
-    # -- vectorized miss-path batching ---------------------------------
-    def make_batch_walker(self, sim: "Simulator"):
-        """Closed-form miss-path hook for the vectorized engine.
-
-        Schemes whose walk is pure array math (the single-access ideal
-        oracle; a hashed table with a side-effect-free slot function)
-        may return a callable ``vpn -> (pte, walk paddr) | None``: the
-        authoritative translation plus the one physical address the
-        walk would touch, with *no* state mutation.  The engine then
-        replays the walk's counter updates inline and skips the
-        walker-object call chain for references it has proven miss in
-        every TLB level.  ``None`` (the default) disables the mode.
-        """
-        return None
 
     # -- construction hooks -------------------------------------------
     def make_page_table(self, sim: "Simulator"):
@@ -126,14 +100,10 @@ class SchemeDescriptor:
     def run_trace(self, sim: "Simulator", trace) -> Tuple[int, int]:
         """Drive the reference trace; returns (data_stall, mmu_cycles).
 
-        Dispatches on :attr:`trace_loop`: the standard loop translates
-        every reference through the TLB hierarchy then accesses the
-        data (and may run vectorized, see
-        :attr:`supports_vectorized`); Midgard declares the
-        virtually-indexed-hierarchy loop instead.
+        The default is the standard loop — translate every reference
+        through the TLB hierarchy, then access the data.  Midgard
+        overrides this with the virtually-indexed-hierarchy loop.
         """
-        if self.trace_loop == "virtual_hierarchy":
-            return sim.run_virtual_hierarchy(trace)
         return sim.run_standard(trace)
 
     # -- per-scheme accounting ----------------------------------------

@@ -14,10 +14,6 @@ class ECPTScheme(SchemeDescriptor):
     aliases = ("cuckoo",)
     core = True
     walk_cache_kind = "cwc"
-    # Cuckoo-table rehashing and the CWC only move on walks, so the
-    # engine's hit-side batching is exact for ECPT.
-    trace_loop = "standard"
-    supports_vectorized = True
 
     @staticmethod
     def initial_size_for_scale(footprint_scale: int) -> int:

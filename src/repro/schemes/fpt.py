@@ -12,10 +12,6 @@ class FPTScheme(RadixWalkCacheStats, SchemeDescriptor):
     name = "fpt"
     description = "flattened page tables: folded levels, radix-style walk cache"
     aliases = ("flattened",)
-    # Folded-level walks mutate nothing per TLB hit; standard loop,
-    # vectorizable.
-    trace_loop = "standard"
-    supports_vectorized = True
 
     def make_page_table(self, sim):
         return FlattenedPageTable(sim.allocator)

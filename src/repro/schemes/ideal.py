@@ -13,37 +13,12 @@ class IdealScheme(SchemeDescriptor):
     description = "oracle translation: exactly one memory access per walk"
     aliases = ("oracle",)
     core = True
-    # Stateless single-access walks run fine under the vectorized
-    # engine, and the oracle's walk is closed-form (one dict chase, no
-    # walk-cache state), so the engine's batched miss path applies too.
-    trace_loop = "standard"
-    supports_vectorized = True
 
     def make_page_table(self, sim):
         return IdealPageTable(sim.allocator)
 
     def make_walker(self, sim):
         return IdealWalker(sim.page_table, sim.hierarchy)
-
-    def make_batch_walker(self, sim):
-        """Closed-form walk: the oracle's one access is the entry slot
-        of the covering mapping.  ``map()`` pre-allocates every entry's
-        backing slot, so the lookups below are side-effect-free; an
-        unmapped VPN returns None and the engine falls back to the full
-        scalar walker (whose miss probe lazily allocates its target).
-        """
-        table = sim.page_table
-        covering = table._covering
-        entries = table._entries
-        entry_paddrs = table._entry_paddrs
-
-        def batch_walk(vpn):
-            first = covering.get(vpn)
-            if first is None:
-                return None
-            return entries[first], entry_paddrs[first]
-
-        return batch_walk
 
 
 DESCRIPTOR = register(IdealScheme())

@@ -19,11 +19,6 @@ class LVMScheme(SchemeDescriptor):
     # Injected allocation failures target the LVM structures (gapped
     # tables, model arrays), which own the retry-with-backoff defense.
     wraps_allocator_under_faults = True
-    # Learned-index lookups and LWC state only move on walks; the
-    # OS-side management cycles are accounted after the trace loop, so
-    # LVM runs unchanged under the vectorized engine.
-    trace_loop = "standard"
-    supports_vectorized = True
 
     def make_page_table(self, sim):
         sim.manager = LVMManager(sim.allocator, sim.lvm_config)

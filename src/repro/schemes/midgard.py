@@ -13,17 +13,17 @@ class MidgardScheme(RadixWalkCacheStats, SchemeDescriptor):
     description = (
         "virtually-indexed caches; only LLC misses walk the (radix) table"
     )
-    # Cache hits need no translation at all; the TLB fast path is
-    # bypassed and only DRAM-bound references reach the walker — so
-    # neither the standard loop nor the vectorized engine applies.
-    trace_loop = "virtual_hierarchy"
-    supports_vectorized = False
 
     def make_page_table(self, sim):
         return RadixPageTable(sim.allocator)
 
     def make_walker(self, sim):
         return RadixWalker(sim.page_table, sim.hierarchy)
+
+    def run_trace(self, sim, trace):
+        # Cache hits need no translation at all; the TLB fast path is
+        # bypassed and only DRAM-bound references reach the walker.
+        return sim.run_virtual_hierarchy(trace)
 
 
 DESCRIPTOR = register(MidgardScheme())

@@ -14,10 +14,6 @@ class RadixScheme(RadixWalkCacheStats, SchemeDescriptor):
     aliases = ("x86", "4level")
     core = True
     supports_virtualization = True
-    # Walker state (the radix PWC) mutates only on walks, which stay
-    # on the scalar miss path under the vectorized engine.
-    trace_loop = "standard"
-    supports_vectorized = True
 
     def make_page_table(self, sim):
         return RadixPageTable(sim.allocator)

@@ -210,10 +210,11 @@ class ShardWorker:
         """Rebuild tenants from their journals (post-respawn).
 
         Replays every journaled op through a fresh :class:`Tenant`.
-        Modeled errors during replay are *expected* — they happened
-        live, they happen again identically (quarantines included) —
-        and the recomputed responses repopulate the dedup ring so
-        resubmitted in-flight requests get their original answers.
+        Errors during replay are *expected* — they happened live, they
+        happen again identically (quarantines included) — and are
+        caught exactly as :meth:`handle` catches them live; the
+        recomputed responses repopulate the dedup ring so resubmitted
+        in-flight requests get their original answers.
         """
         restored, quarantined = [], []
         for name in tenant_names:
@@ -225,7 +226,7 @@ class ShardWorker:
                 tenant.last_seq = seq
                 try:
                     result = tenant.apply(op, args)
-                except ReproError as exc:
+                except Exception as exc:  # noqa: BLE001 — see handle()
                     ring[seq] = {"__ok__": False, "error": error_payload(exc)}
                 else:
                     ring[seq] = {"__ok__": True, "result": result}

@@ -40,6 +40,7 @@ from repro.errors import (
     TenantQuarantinedError,
 )
 from repro.faults import FaultInjector, FaultPlan
+from repro.kernel.aslr import USER_VA_BITS
 from repro.kernel.process import Process
 from repro.kernel.vma import VMA
 from repro.mem.allocator import BumpAllocator
@@ -48,8 +49,7 @@ from repro.mmu.mmu import MMU
 from repro.schemes import registry
 from repro.sim.config import SimConfig
 from repro.sim.journal import record_digest
-from repro.sim.vectorized import SERVE_BATCH_MIN, serve_batch_translate
-from repro.types import TranslationError
+from repro.types import BASE_PAGE_SHIFT, TranslationError
 
 __all__ = ["Tenant", "TenantSpec", "QUARANTINE_ERRORS"]
 
@@ -74,6 +74,26 @@ MUTATING_OPS = ("mmap", "munmap", "translate")
 #: digested at a deterministic stride sample (see ``_op_digest``).
 DIGEST_MAX_PAGES = 2048
 READONLY_OPS = ("stats", "digest")
+
+#: Exclusive upper bounds of client-supplied addresses: a VA must lie in
+#: the 47-bit user half, and a VMA's pages with it.
+VA_LIMIT = 1 << USER_VA_BITS
+VPN_LIMIT = VA_LIMIT >> BASE_PAGE_SHIFT
+
+
+def _wire_int(value, what: str, lo: int, hi: int) -> int:
+    """``value`` if it is a JSON integer (not a bool) in ``[lo, hi)``.
+
+    Anything else — a float, a numeric string, an out-of-range address
+    — is a client mistake, not something to coerce: it raises
+    :class:`ProtocolError` before the op touches tenant state, so the
+    journaled op fails identically live and on replay.
+    """
+    if isinstance(value, bool) or not isinstance(value, int) or not lo <= value < hi:
+        raise ProtocolError(
+            f"{what} must be an integer in [{lo}, {hi:#x}), got {value!r}"
+        )
+    return value
 
 
 @dataclass(frozen=True)
@@ -204,7 +224,9 @@ class Tenant:
     # -- mutating ops --------------------------------------------------
 
     def _op_mmap(self, start_vpn: int, pages: int, name: str = "") -> dict:
-        vma = VMA(int(start_vpn), int(pages), name=str(name))
+        start_vpn = _wire_int(start_vpn, "mmap start_vpn", 0, VPN_LIMIT)
+        pages = _wire_int(pages, "mmap pages", 1, VPN_LIMIT - start_vpn + 1)
+        vma = VMA(start_vpn, pages, name=str(name))
         # A client mapping over an existing VMA is a bad *request*, not
         # corruption: pre-check so the kernel's OverlappingVMAError (an
         # InvariantViolation, which quarantines) never fires for it.
@@ -224,10 +246,11 @@ class Tenant:
         }
 
     def _op_munmap(self, start_vpn: int) -> dict:
-        self.process.munmap(int(start_vpn), mmu=self.mmu)
+        start_vpn = _wire_int(start_vpn, "munmap start_vpn", 0, VPN_LIMIT)
+        self.process.munmap(start_vpn, mmu=self.mmu)
         self.counters.munmaps += 1
         return {
-            "start_vpn": int(start_vpn),
+            "start_vpn": start_vpn,
             "vmas": len(self.process.address_space),
             "mapped_pages": self.process.stats.mapped_pages,
         }
@@ -240,42 +263,13 @@ class Tenant:
         counters line up with what a sweep over the same references
         would report.  A VA outside every VMA is a per-request error
         (the batch stops there, state keeps everything already
-        applied; deterministic, so replay reproduces it exactly).
-
-        Batches of at least :data:`~repro.sim.vectorized.
-        SERVE_BATCH_MIN` addresses route through the vectorized epoch
-        engine (fault-free tenants only) — bit-identical counters,
-        cycles and TLB state by the engine's contract, so journal
-        replays and digests are unaffected by which path served a
-        batch.  ``progress`` is updated in order, so a mid-batch
-        unmappable VA leaves exactly the scalar loop's partial counts.
+        applied; deterministic, so replay reproduces it exactly).  A
+        malformed batch fails whole, before any VA is translated.
         """
         if not isinstance(vas, list):
             raise ProtocolError("translate needs a list of virtual addresses")
-        if (
-            self.injector is None
-            and len(vas) >= SERVE_BATCH_MIN
-            and self.config.vectorized_engine
-            and self.descriptor.supports_vectorized
-        ):
-            try:
-                ints = [int(va) for va in vas]
-            except (TypeError, ValueError):
-                # A malformed element: let the scalar loop below reach
-                # it in sequence and surface the identical error.
-                ints = None
-            if ints is not None:
-                progress = [0, 0]
-                try:
-                    serve_batch_translate(
-                        self.mmu, self.process.handle_fault, ints, progress,
-                        epoch=self.config.vectorized_epoch,
-                        min_fast=self.config.vectorized_min_fast,
-                    )
-                finally:
-                    self.counters.translates += 1
-                    self.counters.refs += progress[0]
-                return {"refs": progress[0], "mmu_cycles": progress[1]}
+        for va in vas:
+            _wire_int(va, "translate VA", 0, VA_LIMIT)
         translate = self.mmu.translate
         fault = self.process.handle_fault
         injector = self.injector
@@ -283,7 +277,6 @@ class Tenant:
         done = 0
         try:
             for va in vas:
-                va = int(va)
                 if injector is not None:
                     injector.on_reference(self)
                 pte, tcycles = translate(va)

@@ -127,12 +127,8 @@ class SimConfig:
     # Cross-check every translation against the OS's authoritative
     # records (chaos-harness mode; costs a software lookup per ref).
     verify_translations: bool = False
-    # --- trace pipeline knobs (never change results, only speed; all
-    # three are excluded from the journal's config fingerprint) -------
-    # Iterate packed compiled traces (repro/workloads/compile.py) with
-    # precomputed column views; False falls back to the legacy
-    # raw-array loop (A/B'd bit-identical in tests and benchmarks).
-    packed_traces: bool = True
+    # --- trace pipeline knobs (never change results, only speed; both
+    # are excluded from the journal's config fingerprint) -------------
     # Content-addressed on-disk trace cache
     # (repro/workloads/trace_cache.py); workers memmap cached entries
     # instead of re-synthesizing traces.  ``--no-trace-cache`` or
@@ -141,19 +137,6 @@ class SimConfig:
     # Cache directory override; None = $REPRO_CACHE_DIR or
     # ~/.cache/repro/traces.
     trace_cache_dir: Optional[str] = None
-    # Epoch-based vectorized trace engine (repro/sim/vectorized.py):
-    # whole-array TLB classification per epoch, scalar walker fallback
-    # for the miss minority.  Bit-identical to the scalar loops by
-    # contract (golden cells + property tests); it silently disables
-    # itself for configurations it cannot model exactly.  All three
-    # knobs are speed-only and excluded from the journal fingerprint.
-    vectorized_engine: bool = True
-    # References per epoch (the batch-classification window).
-    vectorized_epoch: int = 4096
-    # Epochs whose predicted L1-TLB-hit fraction falls below this run
-    # through the scalar loop instead (batch bookkeeping would cost
-    # more than it saves); 0.0 forces every epoch through the engine.
-    vectorized_min_fast: float = 0.55
 
     def validate(self) -> None:
         """Reject impossible configurations with a clear message.
@@ -180,15 +163,6 @@ class SimConfig:
         if self.phys_mem_bytes is not None and self.phys_mem_bytes <= 0:
             raise ConfigError(
                 f"phys_mem_bytes must be positive, got {self.phys_mem_bytes!r}"
-            )
-        if self.vectorized_epoch < 1:
-            raise ConfigError(
-                f"vectorized_epoch must be >= 1, got {self.vectorized_epoch!r}"
-            )
-        if not (0.0 <= self.vectorized_min_fast <= 1.0):
-            raise ConfigError(
-                f"vectorized_min_fast={self.vectorized_min_fast!r} must be "
-                "within [0, 1]"
             )
         self.hierarchy.validate()
         self.tlb.validate()

@@ -120,22 +120,20 @@ def config_fingerprint(config: SimConfig) -> str:
     page mode, and the journal key already carries the THP flag — a
     journal written from a ``thp=True`` base must still hit.
 
-    The trace-pipeline knobs (``packed_traces``, ``use_trace_cache``,
-    ``trace_cache_dir``) are excluded too: they change how traces are
-    produced and shared, never the simulated numbers — a sweep
-    journaled with the cache on must resume cleanly with it off.  The
-    vectorized-engine knobs (``vectorized_engine``, ``vectorized_epoch``,
-    ``vectorized_min_fast``) are excluded for the same reason: the
-    engine is bit-identical to the scalar loop by contract.
+    The trace-cache knobs (``use_trace_cache``, ``trace_cache_dir``)
+    are excluded too: they change how traces are produced and shared,
+    never the simulated numbers — a sweep journaled with the cache on
+    must resume cleanly with it off.
+
+    Every other field counts, nested ones included, so adding or
+    removing a config field changes every fingerprint: a journal
+    written under the old field set is refused on resume with
+    :class:`~repro.errors.JournalMismatchError`, never misread.
     """
     fields = asdict(config)
     fields.pop("thp", None)
-    fields.pop("packed_traces", None)
     fields.pop("use_trace_cache", None)
     fields.pop("trace_cache_dir", None)
-    fields.pop("vectorized_engine", None)
-    fields.pop("vectorized_epoch", None)
-    fields.pop("vectorized_min_fast", None)
     return _digest(fields)
 
 

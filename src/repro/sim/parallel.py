@@ -62,6 +62,7 @@ from repro.workloads.registry import (
     WORKLOADS,
     BuiltWorkload,
 )
+from repro.workloads.trace_cache import cache_for_config
 
 __all__ = [
     "RunSpec",
@@ -235,7 +236,7 @@ def _worker_run(spec: RunSpec):
         from repro.sim import runner
 
         built, _ = runner._load_workload(
-            spec.workload, spec.config, runner._sweep_cache(spec.config)
+            spec.workload, spec.config, cache_for_config(spec.config)
         )
         _WORKER_WORKLOADS[key] = built
     cfg = spec.config.clone(thp=spec.thp)

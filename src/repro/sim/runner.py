@@ -111,7 +111,7 @@ def run_suite(
                 f"{fallback_reason}",
                 file=sys.stderr,
             )
-        cache = _sweep_cache(base)
+        cache = cache_for_config(base)
         stats_before = cache.stats() if cache is not None else None
         pending = _pending_workloads(names, schemes, page_modes, jnl)
         workloads_built = 0
@@ -181,11 +181,6 @@ def _pending_workloads(
                 if name not in pending:
                     pending.append(name)
     return pending
-
-
-def _sweep_cache(base: SimConfig) -> Optional[TraceCache]:
-    """The trace cache a sweep under ``base`` reads and fills."""
-    return cache_for_config(base) if base.packed_traces else None
 
 
 def _load_workload(

@@ -30,8 +30,9 @@ from repro.schemes import registry
 from repro.sim.config import SimConfig
 from repro.sim.results import SimResult
 from repro.types import BASE_PAGE_SIZE, TranslationError
-from repro.workloads.compile import CompiledTrace
+from repro.workloads.compile import CompiledTrace, compiled_trace_for
 from repro.workloads.registry import BuiltWorkload
+from repro.workloads.trace_cache import cache_for_config
 
 
 class Simulator:
@@ -65,9 +66,6 @@ class Simulator:
             FaultInjector(plan) if plan is not None and plan.enabled else None
         )
         self.incorrect_translations = 0
-        # Filled by the vectorized engine when a run goes through it:
-        # per-phase fastpath attribution (see repro/sim/vectorized.py).
-        self.vectorized_stats: Optional[dict] = None
         # ``allocator`` lets the fragmentation studies (sections 7.3,
         # 7.5.3) back the page tables with a pre-fragmented buddy.
         self.allocator = allocator if allocator is not None else self._make_allocator()
@@ -109,22 +107,14 @@ class Simulator:
         data_stall, mmu_cycles = self.descriptor.run_trace(self, trace)
         return self._result(refs, data_stall, mmu_cycles)
 
-    def _trace(self, refs: int):
-        """The reference trace for this run — a :class:`CompiledTrace`
-        on the packed pipeline (default), a raw address array on the
-        legacy path.  Both loops accept either; results are
-        bit-identical (the packed ``va`` column *is* the raw trace)."""
-        if not self.config.packed_traces:
-            return self.workload.trace(refs, self.config.trace_seed)
-        from repro.workloads.compile import compiled_trace_for
-        from repro.workloads.trace_cache import cache_for_config
-
+    def _trace(self, refs: int) -> CompiledTrace:
+        """The compiled reference trace for this run."""
         return compiled_trace_for(
             self.workload, refs, self.config.trace_seed,
             cache=cache_for_config(self.config),
         )
 
-    def run_standard(self, trace) -> "tuple[int, int]":
+    def run_standard(self, trace: CompiledTrace) -> "tuple[int, int]":
         """The default trace loop: every reference is translated through
         the TLB hierarchy, then accesses the data hierarchy."""
         translate = self.mmu.translate
@@ -134,82 +124,7 @@ class Simulator:
         verify = self.config.verify_translations
         data_stall = 0
         mmu_cycles = 0
-        packed = isinstance(trace, CompiledTrace)
-        # One C-level pass converts the trace to plain ints; doing it
-        # per element (``int(va)``) costs a boxing round-trip on every
-        # reference.  CompiledTrace memoizes its column views, so the
-        # 8+ runs per workload of a sweep pay the pass once.
-        if packed:
-            refs = trace.vas
-        else:
-            refs = (
-                trace.tolist()
-                if hasattr(trace, "tolist")
-                else [int(v) for v in trace]
-            )
-        if packed and injector is None and not verify:
-            # Epoch-based vectorized engine (repro/sim/vectorized.py):
-            # whole-array classification per epoch, this scalar loop's
-            # body for the miss minority.  ``try_build`` returns None
-            # for any configuration the engine cannot model exactly,
-            # and the loops below remain the reference semantics.
-            if self.config.vectorized_engine and self.descriptor.supports_vectorized:
-                from repro.sim.vectorized import VectorizedEngine
-
-                engine = VectorizedEngine.try_build(self, trace)
-                if engine is not None:
-                    totals = engine.run()
-                    # Fastpath attribution for benchmarks/tests (where
-                    # references went: batch replay vs scalar body).
-                    self.vectorized_stats = engine.counters
-                    return totals
-            # Packed fast loop: the trace's precomputed VPN column
-            # feeds the L1 front-index probe directly, inlined from
-            # ``MMU.translate`` with identical counter updates (a front
-            # hit costs zero MMU cycles there too).  A miss falls
-            # through to ``translate``, whose own probe of the absent
-            # key is a no-op — stats stay bit-identical either way.
-            ctx = self.mmu.packed_context()
-            front, l1_4k, stats = ctx.front, ctx.l1_4k, ctx.stats
-            for va, vpn in zip(refs, trace.vpns):
-                entry = front.get(vpn)
-                if entry is not None and entry[0] == 0:
-                    pte, tlb_set, key = entry[1], entry[2], entry[3]
-                    del tlb_set[key]
-                    tlb_set[key] = pte
-                    l1_4k.hits += 1
-                    stats.translations += 1
-                    stats.l1_tlb_hits += 1
-                    data_stall += access(pte.translate(va))
-                    continue
-                pte, tcycles = translate(va)
-                if pte is None:
-                    fault(va)
-                    pte, more = translate(va)
-                    tcycles += more
-                    if pte is None:
-                        raise TranslationError(f"unmappable VA {va:#x}")
-                mmu_cycles += tcycles
-                data_stall += access(pte.translate(va))
-            return data_stall, mmu_cycles
-        if injector is None and not verify:
-            # Common case: no chaos hooks.  Hoisting the two per-ref
-            # branches out of the loop is worth several percent at
-            # 200k+ references.
-            for va in refs:
-                pte, tcycles = translate(va)
-                if pte is None:
-                    # Demand fault: the OS maps the page, the access
-                    # retries.
-                    fault(va)
-                    pte, more = translate(va)
-                    tcycles += more
-                    if pte is None:
-                        raise TranslationError(f"unmappable VA {va:#x}")
-                mmu_cycles += tcycles
-                data_stall += access(pte.translate(va))
-            return data_stall, mmu_cycles
-        for va in refs:
+        for va in trace.vas:
             if injector is not None:
                 injector.on_reference(self)
             pte, tcycles = translate(va)
@@ -239,7 +154,7 @@ class Simulator:
         ):
             self.incorrect_translations += 1
 
-    def run_virtual_hierarchy(self, trace) -> "tuple[int, int]":
+    def run_virtual_hierarchy(self, trace: CompiledTrace) -> "tuple[int, int]":
         """Midgard's trace loop (section 7.5.2): the cache hierarchy is
         indexed by intermediate (virtual) addresses, so hits need no
         translation; only LLC misses walk the page table."""
@@ -247,15 +162,7 @@ class Simulator:
         injector = self.injector
         data_stall = 0
         mmu_cycles = 0
-        if isinstance(trace, CompiledTrace):
-            refs = trace.vas
-        else:
-            refs = (
-                trace.tolist()
-                if hasattr(trace, "tolist")
-                else [int(v) for v in trace]
-            )
-        for va in refs:
+        for va in trace.vas:
             if injector is not None:
                 injector.on_reference(self)
             latency, level = access_info(va, entry="l1")

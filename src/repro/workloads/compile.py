@@ -3,15 +3,12 @@ NumPy structured array.
 
 The sweep behind every figure replays the same reference traces through
 hundreds of (scheme × workload × thp) cells.  The raw generators return
-a bare ``int64`` array of virtual addresses; everything else the
-consumers need — the VPN for the TLB probe, the access kind, the stride
-to the previous reference — used to be recomputed per run.  The
-compiler materialises all of it once, in a single contiguous structured
-array (:data:`TRACE_DTYPE`), so that:
+a bare ``int64`` array of virtual addresses.  The compiler packs it,
+with the VPN, access kind and stride of each reference, into a single
+contiguous structured array (:data:`TRACE_DTYPE`), so that:
 
-* the simulator's per-reference loop reads precomputed *column views*
-  (``trace.vas`` / ``trace.vpns``) instead of re-deriving the VPN per
-  reference;
+* the simulator's per-reference loop reads one memoized column view
+  (``trace.vas``) shared by every run that reuses the trace;
 * the array round-trips losslessly through ``.npy`` on disk
   (:mod:`repro.workloads.trace_cache`), where sweep workers memmap it
   read-only — zero-copy under ``fork``, shared OS page cache under
@@ -24,9 +21,9 @@ canonical JSON.  Bump the version whenever any generator's output
 changes; every cached entry is then invalidated at once.
 
 Bit-identity guarantee: the ``va`` column is exactly the array the raw
-generator returned, so ``CompiledTrace.vas`` equals the legacy
-``trace.tolist()`` element for element — the golden scheme cells are
-unchanged through this path (asserted in tests/test_trace_cache.py).
+generator returned, so ``CompiledTrace.vas`` equals its ``tolist()``
+element for element — the golden scheme cells reproduce through this
+path (asserted in tests/test_trace_cache.py).
 """
 
 from __future__ import annotations
@@ -62,8 +59,9 @@ _PAGE_SHIFT = BASE_PAGE_SIZE.bit_length() - 1  # 4 KB -> 12
 
 #: One record per memory reference.  Fixed little-endian layout so a
 #: cached ``.npy`` entry is byte-stable across hosts:
-#:   va     — the generated virtual address (the legacy raw trace);
-#:   vpn    — ``va >> 12``, precomputed for the TLB front-index probe;
+#:   va     — the generated virtual address (the raw trace);
+#:   vpn    — ``va >> 12``; kept so the cache format stays unchanged,
+#:            the simulator no longer reads it;
 #:   kind   — access-kind code (:data:`ACCESS_KIND_CODES`);
 #:   stride — signed byte delta from the previous reference (0 for the
 #:            first), the regularity signal of the Figure 2 study.
@@ -131,20 +129,16 @@ def spec_digest(spec: Dict[str, object]) -> str:
 
 
 class CompiledTrace:
-    """A packed trace plus lazy column views.
+    """A packed trace plus a lazy address list.
 
     ``packed`` may be an in-memory array (just compiled) or a read-only
     memmap (loaded from the trace cache) — consumers cannot tell the
-    difference.  ``vas``/``vpns`` materialise each column once as plain
-    Python ints (one C-level ``tolist`` pass, exactly what the legacy
-    loop did per run) and are shared by every run of a sweep that
-    reuses the trace.
+    difference.  ``vas`` materialises the address column once as plain
+    Python ints (one C-level ``tolist`` pass) and is shared by every
+    run of a sweep that reuses the trace.
     """
 
-    __slots__ = (
-        "packed", "spec", "source", "layout",
-        "_vas", "_vpns", "_va_col", "_vpn_col",
-    )
+    __slots__ = ("packed", "spec", "source", "layout", "_vas")
 
     def __init__(
         self,
@@ -162,9 +156,6 @@ class CompiledTrace:
         #: when the cache entry carries one, else None.
         self.layout = layout
         self._vas: Optional[List[int]] = None
-        self._vpns: Optional[List[int]] = None
-        self._va_col: Optional[np.ndarray] = None
-        self._vpn_col: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return len(self.packed)
@@ -174,53 +165,6 @@ class CompiledTrace:
         if self._vas is None:
             self._vas = self.packed["va"].tolist()
         return self._vas
-
-    @property
-    def vpns(self) -> List[int]:
-        if self._vpns is None:
-            self._vpns = self.packed["vpn"].tolist()
-        return self._vpns
-
-    @property
-    def va_array(self) -> np.ndarray:
-        """The raw address column, for consumers of the legacy array
-        shape (analysis scripts, the multicore interleaver)."""
-        return self.packed["va"]
-
-    @property
-    def va_col(self) -> np.ndarray:
-        """Contiguous read-only ``int64`` VA column.
-
-        Structured-array field views are strided; whole-array math over
-        them forces a copy per operation.  The contiguous column is
-        materialised once per trace and shared by every epoch of every
-        run (the vectorized engine slices it zero-copy).
-        """
-        if self._va_col is None:
-            col = np.ascontiguousarray(self.packed["va"], dtype=np.int64)
-            col.setflags(write=False)
-            self._va_col = col
-        return self._va_col
-
-    @property
-    def vpn_col(self) -> np.ndarray:
-        """Contiguous read-only ``int64`` VPN column (see ``va_col``)."""
-        if self._vpn_col is None:
-            col = np.ascontiguousarray(self.packed["vpn"], dtype=np.int64)
-            col.setflags(write=False)
-            self._vpn_col = col
-        return self._vpn_col
-
-    def epochs(self, epoch: int):
-        """Yield (start, stop, va chunk, vpn chunk) in fixed-size
-        epochs — the vectorized engine's unit of batch processing.
-        Chunks are zero-copy views of the contiguous columns."""
-        if epoch <= 0:
-            raise ValueError(f"epoch size must be positive, got {epoch!r}")
-        va, vpn = self.va_col, self.vpn_col
-        for start in range(0, len(self.packed), epoch):
-            stop = min(start + epoch, len(self.packed))
-            yield start, stop, va[start:stop], vpn[start:stop]
 
 
 def pack_trace(vas: np.ndarray, kind_code: int) -> np.ndarray:

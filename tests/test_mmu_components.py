@@ -152,6 +152,27 @@ class TestTLB:
         arr.insert(PTE(vpn=5, ppn=5), asid=1)
         assert arr.lookup(5, asid=2) is None
 
+    def test_full_set_evicts_lru(self):
+        # 1 set x 2 ways: touching vpn 0 makes vpn 1 the LRU entry,
+        # so the third insert evicts vpn 1.
+        arr = TLBArray("t", 2, 2, PageSize.SIZE_4K)
+        arr.insert(PTE(vpn=0, ppn=0), asid=0)
+        arr.insert(PTE(vpn=1, ppn=1), asid=0)
+        assert arr.lookup(0, asid=0) is not None
+        arr.insert(PTE(vpn=2, ppn=2), asid=0)
+        assert arr.lookup(1, asid=0) is None
+        assert arr.lookup(0, asid=0) is not None
+        assert arr.lookup(2, asid=0) is not None
+
+    def test_flush_asid_keeps_other_asids(self):
+        arr = TLBArray("t", 16, 4, PageSize.SIZE_4K)
+        for vpn in (3, 4):
+            arr.insert(PTE(vpn=vpn, ppn=vpn), asid=0)
+            arr.insert(PTE(vpn=vpn, ppn=vpn + 8), asid=1)
+        arr.flush_asid(1)
+        assert arr.lookup(3, asid=1) is None and arr.lookup(4, asid=1) is None
+        assert arr.lookup(3, asid=0).ppn == 3 and arr.lookup(4, asid=0).ppn == 4
+
     def test_huge_page_granularity(self):
         arr = TLBArray("t", 16, 4, PageSize.SIZE_2M)
         pte = PTE(vpn=1024, ppn=9, page_size=PageSize.SIZE_2M)
@@ -179,75 +200,6 @@ class TestTLB:
         cfg = TLBConfig.scaled(16)
         assert cfg.l2_entries_per_size == 128
         assert cfg.l1_4k_entries >= 4
-
-
-class TestTLBFrontIndex:
-    """The O(1) VPN index kept in front of the L1 4 KB array."""
-
-    def _array(self, entries=8, ways=4):
-        return TLBArray("t", entries, ways, PageSize.SIZE_4K, front_index=True)
-
-    def test_requires_base_pages(self):
-        with pytest.raises(ValueError, match="front index"):
-            TLBArray("t", 8, 4, PageSize.SIZE_2M, front_index=True)
-
-    def test_insert_registers_entry(self):
-        arr = self._array()
-        pte = PTE(vpn=5, ppn=5)
-        arr.insert(pte, asid=3)
-        asid, front_pte, tlb_set, key = arr.front[5]
-        assert asid == 3 and front_pte is pte
-        assert tlb_set[key] is pte  # points at the live set/slot
-
-    def test_eviction_drops_entry(self):
-        # 1 set x 2 ways: the third insert evicts the LRU (vpn=0).
-        arr = self._array(entries=2, ways=2)
-        for vpn in (0, 1, 2):
-            arr.insert(PTE(vpn=vpn, ppn=vpn), asid=0)
-        assert 0 not in arr.front
-        assert set(arr.front) == {1, 2}
-
-    def test_invalidate_and_flush_drop_entries(self):
-        arr = self._array()
-        arr.insert(PTE(vpn=7, ppn=7), asid=0)
-        arr.insert(PTE(vpn=9, ppn=9), asid=1)
-        arr.invalidate(7, asid=0)
-        assert 7 not in arr.front
-        arr.flush_asid(1)
-        assert 9 not in arr.front
-
-    def test_invalidate_other_asid_keeps_entry(self):
-        arr = self._array()
-        arr.insert(PTE(vpn=7, ppn=7), asid=0)
-        arr.invalidate(7, asid=5)  # different address space
-        assert 7 in arr.front
-
-    def test_front_mirrors_contents_under_churn(self):
-        """After arbitrary insert/invalidate churn the index holds
-        exactly the resident (latest-insert-per-vpn) entries."""
-        arr = self._array(entries=4, ways=2)
-        for i in range(40):
-            vpn = (i * 7) % 11
-            arr.insert(PTE(vpn=vpn, ppn=i), asid=0)
-            if i % 5 == 0:
-                arr.invalidate((i * 3) % 11, asid=0)
-        resident = {
-            key[1]: pte
-            for tlb_set in arr._sets.values()
-            for key, pte in tlb_set.items()
-        }
-        assert set(arr.front) == set(resident)
-        for vpn, (asid, pte, tlb_set, key) in arr.front.items():
-            assert resident[vpn] is pte
-            assert tlb_set[key] is pte
-
-    def test_hierarchy_enables_front_only_on_l1_4k(self):
-        tlbs = TLBHierarchy(TLBConfig(front_index=True))
-        assert tlbs.l1[PageSize.SIZE_4K].front is not None
-        assert tlbs.l1[PageSize.SIZE_2M].front is None
-        assert all(arr.front is None for arr in tlbs.l2.values())
-        disabled = TLBHierarchy(TLBConfig(front_index=False))
-        assert disabled.l1[PageSize.SIZE_4K].front is None
 
 
 class TestWalkCaches:

@@ -286,6 +286,53 @@ class TestShardWorker:
         assert not response["ok"]
         assert response["error"]["type"] == "ProtocolError"
 
+    @pytest.mark.parametrize("op,args", [
+        ("translate", {"vas": ["abc"]}),
+        ("translate", {"vas": ["4096"]}),
+        ("translate", {"vas": [64 * 4096 + 0.5]}),
+        ("translate", {"vas": [True]}),
+        ("translate", {"vas": [-4096]}),
+        # Unmapped, and radix's 36-bit index would alias it onto VPN 64.
+        ("translate", {"vas": [2**60 + 64 * 4096]}),
+        # A bad element fails the whole batch, even after good ones.
+        ("translate", {"vas": [65 * 4096, "abc"]}),
+        ("mmap", {"start_vpn": "0x10", "pages": 8}),
+        ("mmap", {"start_vpn": 4096.0, "pages": 8}),
+        ("mmap", {"start_vpn": -16, "pages": 8}),
+        # Runs past the end of the 47-bit user half.
+        ("mmap", {"start_vpn": 2**35 - 4, "pages": 8}),
+        ("mmap", {"start_vpn": 4096, "pages": True}),
+        ("mmap", {"start_vpn": 4096, "pages": 0}),
+        ("munmap", {"start_vpn": "64"}),
+        ("munmap", {"start_vpn": 64.0}),
+    ])
+    def test_malformed_op_is_a_protocol_error_that_replays(
+        self, tmp_path, op, args
+    ):
+        """A malformed op changes no tenant state, and its journaled
+        record replays to the same error instead of breaking restore."""
+        setup = [("mmap", {"start_vpn": 64, "pages": 8}),
+                 ("translate", {"vas": [64 * 4096, 70 * 4096 + 8]})]
+        tenant = Tenant(TenantSpec(name="t", scheme="radix"))
+        for setup_op, setup_args in setup:
+            tenant.apply(setup_op, setup_args)
+        before = tenant.apply("digest", {})
+        with pytest.raises(ProtocolError):
+            tenant.apply(op, args)
+        assert tenant.apply("digest", {}) == before
+
+        worker = self._worker(tmp_path)
+        for seq, (event_op, event_args) in enumerate(setup + [(op, args)], 1):
+            response, _ = worker.handle({"id": seq, "op": event_op, "tenant": "t",
+                                         "seq": seq, "args": event_args})
+        assert response["error"]["type"] == "ProtocolError"
+        digest = {"id": 9, "op": "digest", "tenant": "t", "args": {}}
+        live = worker.handle(digest)[0]["result"]
+        worker.close_all()
+        recovered = ShardWorker(0, str(tmp_path))
+        assert recovered.restore(["t"])["restored"] == ["t"]
+        assert recovered.handle(digest)[0]["result"] == live
+
 
 # -- end to end ---------------------------------------------------------
 

@@ -390,8 +390,10 @@ def _chaos_plan_from_args(args) -> dict:
 
 
 def cmd_serve(args) -> None:
-    """Run the translation server until interrupted (Ctrl-C)."""
+    """Run the translation server until interrupted (Ctrl-C or
+    SIGTERM)."""
     import asyncio
+    import signal
 
     from repro.serve.server import ServePolicy, TranslationServer
 
@@ -408,7 +410,16 @@ def cmd_serve(args) -> None:
         + (" [chaos]" if args.chaos else ""),
         file=sys.stderr,
     )
-    asyncio.run(server.serve_forever())
+
+    async def serve() -> None:
+        # SIGTERM cancels the serve loop as Ctrl-C does, so that
+        # ``close()`` runs: the shards get ``shutdown`` and the tenant
+        # journals their closing fsync.
+        task = asyncio.current_task()
+        asyncio.get_running_loop().add_signal_handler(signal.SIGTERM, task.cancel)
+        await server.serve_forever()
+
+    asyncio.run(serve())
 
 
 def cmd_serve_bench(args) -> None:

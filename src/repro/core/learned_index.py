@@ -302,22 +302,9 @@ class LearnedIndex:
         )
         # Well-behaved leaves keep placements within the C_err-derived
         # bound.  Leaves forced *past* the bound (depth limit reached
-        # on a pathological key set) are bulk-packed in key order in
-        # O(n); their widened search window plus the bounded binary
-        # search keeps lookups correct and logarithmic.
+        # on a pathological key set) are packed instead.
         if not plan.within_error_bound:
-            leaf.degraded = True
-            leaf.sorted_layout = True
-            predictions = [leaf.model.predict(k) for k in eff_keys.tolist()]
-            try:
-                table.bulk_place(predictions, ptes)
-            except GPTFullError:
-                # Predictions so skewed that packing ran off the end:
-                # pack sequentially from slot 0; the tracked
-                # displacement widens the window and the binary search
-                # stays logarithmic.
-                table.clear()
-                table.bulk_place([0] * len(ptes), ptes)
+            self._pack_degraded(leaf, eff_keys, ptes)
             return leaf
         cap = max(self.config.max_leaf_error_slots, plan.max_window)
         cap += self.config.slots_per_line
@@ -328,15 +315,34 @@ class LearnedIndex:
         except GPTFullError:
             # The plan's collision estimate missed a local pile-up
             # (clustered collisions cascade farther than the per-slot
-            # estimate).  Re-place by rightward packing and record the
-            # event as an error-bound violation.
+            # estimate): pack instead, and count the violation.
             self.stats.error_bound_violations += 1
-            leaf.degraded = True
-            leaf.sorted_layout = True
-            table.clear()
-            predictions = [leaf.model.predict(k) for k in eff_keys.tolist()]
-            table.bulk_place(predictions, ptes)
+            self._pack_degraded(leaf, eff_keys, ptes)
         return leaf
+
+    @staticmethod
+    def _pack_degraded(leaf: LeafNode, eff_keys: np.ndarray, ptes: List[PTE]) -> None:
+        """Place a degraded leaf's entries by rightward packing in key
+        order, O(n): its widened search window plus the bounded binary
+        search keep lookups correct and logarithmic.  Predictions so
+        skewed that packing runs off the end of the table pack from
+        slot 0 instead; the tracked displacement widens the window."""
+        leaf.degraded = True
+        leaf.sorted_layout = True
+        table = leaf.table
+        table.clear()
+        predictions = [leaf.model.predict(k) for k in eff_keys.tolist()]
+        try:
+            table.bulk_place(predictions, ptes)
+        except GPTFullError:
+            table.clear()
+            table.bulk_place([0] * len(ptes), ptes)
+            # Entry i sits in slot i.  Lookups search around the model's
+            # predictions, so measure the displacement from those, not
+            # from the zeros the entries were packed from.
+            table.max_displacement = max(
+                abs(slot - predicted) for slot, predicted in enumerate(predictions)
+            )
 
     def _build_internal(
         self,

@@ -38,7 +38,7 @@ import faulthandler
 import signal
 import socket
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import (
     ProtocolError,
@@ -65,12 +65,16 @@ def install_worker_signals() -> None:
     * ``SIGINT`` is ignored: a terminal Ctrl-C goes to the whole
       process group, and shutdown must stay the parent's decision so
       journals close in a controlled order.
+    * ``SIGTERM`` gets its default action back: the fork copies the
+      front end's handler, which only cancels the front end's serve
+      loop and would leave a worker deaf to SIGTERM.
     * ``SIGUSR1`` dumps every thread's stack to stderr via
       :mod:`faulthandler` — the supervisor's pre-kill diagnostic for
       wedged workers (also installed by the sweep pool; see
       ``sim/supervisor.py``).
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     faulthandler.register(signal.SIGUSR1, chain=False)
 
 
@@ -268,10 +272,22 @@ def _rehydrate(error: dict) -> ReproError:
     return decode_error(error)
 
 
-def shard_main(sock: socket.socket, shard_id: int, journal_dir: str) -> None:
+def shard_main(
+    sock: socket.socket,
+    shard_id: int,
+    journal_dir: str,
+    inherited: Sequence[socket.socket],
+) -> None:
     """Entry point of the forked shard process: serve until EOF or
     ``shutdown``.  A torn frame (the parent died mid-write) also ends
-    the loop — orphaned shards must not outlive the front end."""
+    the loop — orphaned shards must not outlive the front end.
+
+    ``inherited`` are the front end's ends of the shard socketpairs
+    that the fork copied.  They are closed first: while this process
+    holds one, the front end's death — a SIGKILL included — never
+    reads as EOF here."""
+    for other in inherited:
+        other.close()
     install_worker_signals()
     worker = ShardWorker(shard_id, journal_dir)
     try:

@@ -76,6 +76,8 @@ class _Shard:
     def __init__(self, index: int):
         self.index = index
         self.process: Optional[multiprocessing.Process] = None
+        #: The front end's end of the socketpair to the worker.
+        self.sock: Optional[socket.socket] = None
         self.reader: Optional[asyncio.StreamReader] = None
         self.writer: Optional[asyncio.StreamWriter] = None
         self.pending: Dict[int, _Pending] = {}
@@ -135,11 +137,18 @@ class ShardManager:
         """Fork + wire a worker.  Does NOT set ``shard.ready``: during
         recovery the readiness gate must stay closed until the journal
         restore completes, or a fresh request races the restore into
-        the empty worker and bounces off ``UnknownTenantError``."""
+        the empty worker and bounces off ``UnknownTenantError``.
+
+        The fork copies the front end's end of every shard socketpair,
+        this one included; the worker closes those copies first, so
+        that it reads EOF as soon as the front end is gone."""
         parent_sock, child_sock = socket.socketpair()
+        inherited = [s.sock for s in self._shards if s.sock is not None]
+        inherited.append(parent_sock)
+        shard.sock = parent_sock
         process = self._ctx.Process(
             target=shard_main,
-            args=(child_sock, shard.index, self.journal_dir),
+            args=(child_sock, shard.index, self.journal_dir, inherited),
             daemon=True,
             name=f"repro-serve-shard-{shard.index}",
         )

@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import List, Optional
 
+from repro.applog import record_digest
 from repro.errors import (
     AllocationError,
     CorruptionError,
@@ -48,7 +49,6 @@ from repro.mmu.hierarchy import MemoryHierarchy
 from repro.mmu.mmu import MMU
 from repro.schemes import registry
 from repro.sim.config import SimConfig
-from repro.sim.journal import record_digest
 from repro.types import BASE_PAGE_SHIFT, TranslationError
 
 __all__ = ["Tenant", "TenantSpec", "QUARANTINE_ERRORS"]

@@ -1,9 +1,8 @@
 """Per-tenant event journals: the serving layer's crash-recovery log.
 
 Each tenant the server hosts gets one append-only JSONL file under the
-server's journal directory, reusing the checksummed record format of
-the sweep run journal (:func:`repro.sim.journal.record_line` /
-:func:`~repro.sim.journal.parse_record_line`):
+server's journal directory: an :class:`~repro.applog.AppendLog`, the
+checksummed-JSONL log the sweep run journal shares.
 
 * line 1 is a header pinning the journal schema version, the tenant
   name and the canonical fingerprint of its
@@ -21,33 +20,26 @@ per-tenant ``seq`` lets the front end resubmit in-flight requests with
 exactly-once semantics: a replayed record and a resubmitted duplicate
 of the same ``seq`` are the same operation.
 
-**Durability model.**  Records are flushed to the kernel per append —
-that is what SIGKILL-crash recovery (the supervisor killing a wedged
-shard) needs, because the page cache survives process death.  An
-``os.fsync`` runs every :data:`FSYNC_EVERY` records (and on ``close``)
+**Durability model.**  Every record is flushed to the kernel as it is
+appended — that is what SIGKILL-crash recovery (the supervisor killing
+a wedged shard) needs, because the page cache survives process death.
+An ``fsync`` runs every :data:`FSYNC_EVERY` records (and on ``close``)
 to bound the loss window of a *host* crash; per-record fsync — the run
-journal's policy, affordable at sweep-cell granularity — would cap a
+journal's cadence, affordable at sweep-cell granularity — would cap a
 shard at a few hundred requests/second.
 
-**Torn tails.**  Like the run journal, loading stops at the first
-unparsable or checksum-failing line — and then **truncates the file**
-to the end of the last valid record before reopening it for append.
-Without the truncate, ops journaled after recovery would be appended
-*after* (or concatenated onto) the torn line, and the next replay
-would stop at the torn line and silently discard every acknowledged
-post-recovery record.  The truncated record itself simply re-runs when
-the front end resubmits the request that wrote it.
+**Torn tails** follow the log's crash rules: a torn record is dropped
+and cut off before the next append (its request re-runs when the front
+end resubmits it), and a refused journal is left untouched.
 """
 
 from __future__ import annotations
 
-import os
-import sys
 from pathlib import Path
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Iterator, List, Tuple, Union
 
+from repro.applog import AppendLog, read_header
 from repro.errors import JournalError, JournalMismatchError
-from repro.sim.journal import parse_record_line, record_line
 from repro.serve.tenant import TenantSpec
 
 __all__ = ["TenantJournal", "FSYNC_EVERY", "journal_path", "list_tenants"]
@@ -77,35 +69,25 @@ class TenantJournal:
     in the module docstring.
     """
 
-    def __init__(self, path: Path, spec: TenantSpec):
-        self.path = path
+    def __init__(self, log: AppendLog, spec: TenantSpec):
+        self.path = log.path
         self.spec = spec
-        self._fh = None
-        self._since_fsync = 0
+        self._log = log
 
     # -- construction -------------------------------------------------
 
     @classmethod
     def create(cls, journal_dir: Union[str, Path], spec: TenantSpec) -> "TenantJournal":
-        """Start a fresh journal for a newly created tenant."""
-        path = journal_path(journal_dir, spec.name)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        journal = cls(path, spec)
-        journal._fh = path.open("w", encoding="utf-8")
-        journal._write(
-            {
-                "kind": "header",
-                "version": TENANT_JOURNAL_VERSION,
-                "tenant": spec.name,
-                "spec": spec.to_dict(),
-                "fingerprint": spec.fingerprint(),
-            }
-        )
-        # The header is the recovery anchor: make it durable before
-        # acknowledging the tenant exists.
-        journal._fh.flush()
-        os.fsync(journal._fh.fileno())
-        return journal
+        """Start a fresh journal for a newly created tenant; its header
+        is durable before the tenant is acknowledged."""
+        header = {
+            "version": TENANT_JOURNAL_VERSION,
+            "tenant": spec.name,
+            "spec": spec.to_dict(),
+            "fingerprint": spec.fingerprint(),
+        }
+        log = AppendLog.create(journal_path(journal_dir, spec.name), header, FSYNC_EVERY)
+        return cls(log, spec)
 
     @classmethod
     def load(
@@ -116,11 +98,10 @@ class TenantJournal:
 
         Raises :class:`JournalError` when the file or its header is
         unusable, :class:`JournalMismatchError` when the header was
-        written under a different schema version.  A torn or corrupt
-        tail is tolerated: it is dropped with a warning and the file is
-        truncated to the last valid record, so records appended after
-        recovery land on a clean line boundary and survive the *next*
-        replay (see "Torn tails" in the module docstring).
+        written under a different schema version or does not match its
+        own spec; either way the file is left untouched.  A torn or
+        corrupt tail is dropped with a warning (see "Torn tails" in the
+        module docstring).
         """
         path = journal_path(journal_dir, tenant)
         if not path.exists():
@@ -128,41 +109,8 @@ class TenantJournal:
                 f"no journal for tenant {tenant!r} at {path}; "
                 "cannot reconstruct its state"
             )
-        events: List[dict] = []
-        header: Optional[dict] = None
-        # Read in binary so valid_end is an exact byte offset to
-        # truncate to.  A record only counts if its line is newline-
-        # terminated: a parseable line with no trailing newline is a
-        # torn write and must be truncated too, or the next append
-        # would concatenate onto it.
-        valid_end = 0
-        with path.open("rb") as fh:
-            number = 0
-            while True:
-                raw = fh.readline()
-                if not raw:
-                    break
-                number += 1
-                record = None
-                if raw.endswith(b"\n"):
-                    try:
-                        record = parse_record_line(raw.decode("utf-8"))
-                    except UnicodeDecodeError:
-                        record = None
-                if record is None:
-                    print(
-                        f"repro: tenant journal {path}:{number}: torn or "
-                        f"corrupt record; keeping the {number - 1} before "
-                        "it and truncating the tail",
-                        file=sys.stderr,
-                    )
-                    break
-                valid_end = fh.tell()
-                if number == 1:
-                    header = record
-                else:
-                    events.append(record)
-        if header is None or header.get("kind") != "header":
+        log, header, events = AppendLog.read(path, FSYNC_EVERY)
+        if header is None:
             raise JournalError(
                 f"tenant journal {path} has no readable header; "
                 "the tenant cannot be reconstructed"
@@ -179,27 +127,13 @@ class TenantJournal:
                 f"tenant journal {path}: header fingerprint does not match "
                 "its own spec; refusing to replay a tampered journal"
             )
-        if valid_end < path.stat().st_size:
-            os.truncate(path, valid_end)
-        journal = cls(path, spec)
-        journal._fh = path.open("a", encoding="utf-8")
-        return journal, events
+        return cls(log.resume(), spec), events
 
     # -- appending ----------------------------------------------------
 
     def append_event(self, seq: int, op: str, args: dict) -> None:
         """Write-ahead one mutating op (call *before* applying it)."""
-        self._write({"seq": seq, "op": op, "args": args})
-
-    def _write(self, record: dict) -> None:
-        if self._fh is None:
-            raise JournalError(f"tenant journal {self.path} is closed")
-        self._fh.write(record_line(record) + "\n")
-        self._fh.flush()
-        self._since_fsync += 1
-        if self._since_fsync >= FSYNC_EVERY:
-            os.fsync(self._fh.fileno())
-            self._since_fsync = 0
+        self._log.append({"seq": seq, "op": op, "args": args})
 
     # -- lifecycle ----------------------------------------------------
 
@@ -212,12 +146,7 @@ class TenantJournal:
             pass
 
     def close(self, fsync: bool = True) -> None:
-        if self._fh is not None:
-            if fsync:
-                self._fh.flush()
-                os.fsync(self._fh.fileno())
-            self._fh.close()
-            self._fh = None
+        self._log.close(fsync=fsync)
 
     def __enter__(self) -> "TenantJournal":
         return self
@@ -232,11 +161,10 @@ def read_spec(journal_dir: Union[str, Path], tenant: str) -> TenantSpec:
     owning shard worker does)."""
     path = journal_path(journal_dir, tenant)
     try:
-        with path.open("r", encoding="utf-8") as fh:
-            header = parse_record_line(fh.readline())
+        header = read_header(path)
     except OSError as exc:
         raise JournalError(f"cannot read tenant journal {path}: {exc}") from exc
-    if not header or header.get("kind") != "header":
+    if header is None:
         raise JournalError(f"tenant journal {path} has no readable header")
     return TenantSpec.from_dict(header.get("spec") or {})
 
@@ -249,9 +177,8 @@ def list_tenants(journal_dir: Union[str, Path]) -> Iterator[str]:
         return
     for path in sorted(root.glob("tenant-*.jsonl")):
         try:
-            with path.open("r", encoding="utf-8") as fh:
-                header = parse_record_line(fh.readline())
+            header = read_header(path)
         except OSError:
             continue
-        if header and header.get("kind") == "header" and header.get("tenant"):
+        if header and header.get("tenant"):
             yield header["tenant"]

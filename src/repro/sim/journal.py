@@ -13,16 +13,9 @@ journal=path, resume=True)``:
   deterministic and therefore safe to replay).  Host-level failures
   (timeouts, crashed workers) are deliberately **not** journaled: they
   are retryable, and a resume should retry them.
-* **Checksummed records.**  Each line wraps its payload with a SHA-256
-  digest; a record whose digest does not match is treated as
-  corruption, not data.
-* **Torn-write tolerant.**  A crash can leave a partial final line (or
-  a corrupt tail).  Loading stops at the first unparsable or
-  checksum-failing record and keeps everything before it — the torn
-  cell simply re-runs on resume.  The file is then truncated to the
-  last valid record before reopening for append, as the tenant
-  journals do (:mod:`repro.serve.tenant_journal`): records written
-  after a resume must survive the next one.
+* **One append log.**  The file is an :class:`~repro.applog.AppendLog`
+  with its crash rules: checksummed lines, and a torn tail dropped
+  (its cell re-runs) and cut off before the next append.
 * **Fingerprint-validated resume.**  The header pins a canonical hash
   of the sweep's :class:`~repro.sim.config.SimConfig`; resuming with a
   different configuration raises a typed
@@ -30,33 +23,28 @@ journal=path, resume=True)``:
   instead of silently mixing cells simulated under different
   parameters.
 
-Records are flushed and fsync'd as they are written: a journal entry
-either exists durably or the cell re-runs.  Replayed cells are
-bit-identical to fresh runs because ``SimResult`` round-trips through
-JSON exactly (floats serialize via ``repr``).
+Records are fsync'd as they are written (an ``fsync_every`` of 1): a
+journal entry either exists durably or the cell re-runs.  Replayed
+cells are bit-identical to fresh runs because ``SimResult`` round-trips
+through JSON exactly (floats serialize via ``repr``).
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
 from typing import Dict, Optional, Union
 
+from repro.applog import AppendLog, record_digest
 from repro.errors import ConfigError, JournalMismatchError
 from repro.sim.config import SimConfig
 from repro.sim.results import RunFailure, SimResult
 
 __all__ = [
     "RunJournal",
-    "canonical_json",
     "config_fingerprint",
-    "parse_record_line",
     "record_digest",
-    "record_line",
     "spec_key",
 ]
 
@@ -64,48 +52,9 @@ __all__ = [
 #: under another version is rejected on resume (JournalMismatchError).
 JOURNAL_SCHEMA_VERSION = 1
 
-
-def canonical_json(payload) -> str:
-    """Canonical JSON: the byte-stable form both checksums and the
-    config fingerprint hash over."""
-    return json.dumps(
-        payload, sort_keys=True, separators=(",", ":"), default=str
-    )
-
-
-def record_digest(payload) -> str:
-    """SHA-256 of the canonical JSON form of ``payload``."""
-    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
-
-
-def record_line(record: dict) -> str:
-    """One checksummed JSONL line (no trailing newline).
-
-    The record wrapped with its own digest — the append format shared
-    by the run journal here and the per-tenant serve journals
-    (:mod:`repro.serve.tenant_journal`)."""
-    return json.dumps({"record": record, "sha256": record_digest(record)})
-
-
-def parse_record_line(line: str) -> Optional[dict]:
-    """Inverse of :func:`record_line`: the record, or None if the line
-    is torn, unparsable, or fails its checksum."""
-    try:
-        wrapper = json.loads(line)
-    except ValueError:
-        return None
-    if not isinstance(wrapper, dict):
-        return None
-    record = wrapper.get("record")
-    if record is None or wrapper.get("sha256") != record_digest(record):
-        return None
-    return record
-
-
-# Backward-compatible private aliases (tests and older callers poke
-# these names).
-_canonical = canonical_json
-_digest = record_digest
+#: fsync cadence, in records: every record.  Cells take milliseconds at
+#: minimum, so durability here is cheap.
+FSYNC_EVERY = 1
 
 
 def config_fingerprint(config: SimConfig) -> str:
@@ -134,7 +83,7 @@ def config_fingerprint(config: SimConfig) -> str:
     fields.pop("thp", None)
     fields.pop("use_trace_cache", None)
     fields.pop("trace_cache_dir", None)
-    return _digest(fields)
+    return record_digest(fields)
 
 
 def spec_key(workload: str, scheme: str, thp: bool) -> str:
@@ -155,7 +104,7 @@ class RunJournal:
         self.fingerprint = fingerprint
         self.completed: Dict[str, SimResult] = {}
         self.failed: Dict[str, RunFailure] = {}
-        self._fh = None
+        self._log: Optional[AppendLog] = None
 
     # -- construction -------------------------------------------------
 
@@ -171,7 +120,8 @@ class RunJournal:
         * ``resume=False``: truncate and write a fresh header.
         * ``resume=True`` + existing journal: load it (tolerating a
           torn tail) and verify the fingerprint — raise
-          :class:`JournalMismatchError` on any disagreement.
+          :class:`JournalMismatchError` on any disagreement, leaving
+          the file untouched.
         * ``resume=True`` + no journal: a :class:`ConfigError` (exit
           code 2 in the CLI) — asking to resume work that never
           happened is a configuration mistake, distinct from the
@@ -188,63 +138,26 @@ class RunJournal:
                     f"nothing to resume at {path}: the journal does not "
                     "exist (re-run without --resume to start one)"
                 )
-            if journal._load():
-                journal._fh = path.open("a", encoding="utf-8")
+            log, header, records = AppendLog.read(path, FSYNC_EVERY)
+            if header is not None:
+                journal._replay(header, records)
+                journal._log = log.resume()
                 return journal
             print(
                 f"repro: journal {path} has no readable header; "
                 "starting fresh",
                 file=sys.stderr,
             )
-        journal._start_fresh()
+        journal._log = AppendLog.create(
+            path,
+            {"version": JOURNAL_SCHEMA_VERSION, "fingerprint": journal.fingerprint},
+            FSYNC_EVERY,
+        )
         return journal
 
-    def _start_fresh(self) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = self.path.open("w", encoding="utf-8")
-        self._append(
-            {
-                "kind": "header",
-                "version": JOURNAL_SCHEMA_VERSION,
-                "fingerprint": self.fingerprint,
-            }
-        )
-
-    def _load(self) -> bool:
-        """Read an existing journal; returns False when there is no
-        usable header (caller starts fresh).  Stops at the first torn
-        or checksum-failing record; later lines are suspect and the
-        cells they described simply re-run.
-
-        A usable journal is then cut back to the end of its last valid
-        record, so the appends that follow start on a clean line: left
-        behind the torn bytes, they would be dropped by the *next*
-        resume.  A final record that parses but lost its newline is
-        kept, and the newline is restored before the first append."""
-        records = []
-        valid_end = 0
-        terminated = True
-        # Binary read, so ``valid_end`` is an exact byte offset.
-        with self.path.open("rb") as fh:
-            for number, raw in enumerate(fh, start=1):
-                try:
-                    record = self._parse_line(raw.decode("utf-8"))
-                except UnicodeDecodeError:
-                    record = None
-                if record is None:
-                    print(
-                        f"repro: journal {self.path}:{number}: torn or "
-                        f"corrupt record; keeping the {number - 1} records "
-                        "before it",
-                        file=sys.stderr,
-                    )
-                    break
-                records.append(record)
-                valid_end += len(raw)
-                terminated = raw.endswith(b"\n")
-        if not records or records[0].get("kind") != "header":
-            return False
-        header = records[0]
+    def _replay(self, header: dict, records: list) -> None:
+        """Validate ``header`` against this sweep, then load the cells
+        of ``records``."""
         if header.get("version") != JOURNAL_SCHEMA_VERSION:
             raise JournalMismatchError(
                 f"journal {self.path} has schema version "
@@ -260,7 +173,7 @@ class RunJournal:
                 "its cells cannot be mixed with this sweep's — re-run "
                 "without --resume to start a fresh journal"
             )
-        for record in records[1:]:
+        for record in records:
             key = record.get("key")
             if record.get("kind") == "result":
                 # Last record wins: a cell re-journaled after an
@@ -268,41 +181,22 @@ class RunJournal:
                 self.completed[key] = SimResult.from_dict(record["result"])
             elif record.get("kind") == "failure":
                 self.failed[key] = RunFailure.from_dict(record["failure"])
-        if valid_end < self.path.stat().st_size:
-            os.truncate(self.path, valid_end)
-        if not terminated:
-            with self.path.open("ab") as fh:
-                fh.write(b"\n")
-        return True
-
-    @staticmethod
-    def _parse_line(line: str) -> Optional[dict]:
-        """One JSONL record, or None if torn/corrupt."""
-        return parse_record_line(line)
 
     # -- appending ----------------------------------------------------
-
-    def _append(self, record: dict) -> None:
-        self._fh.write(record_line(record) + "\n")
-        # Flush + fsync per record: cells take milliseconds to compute
-        # at minimum, so durability here is cheap — and a record either
-        # survives a crash whole or its cell re-runs.
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
 
     def record_result(self, workload: str, scheme: str, thp: bool,
                       result: SimResult) -> None:
         key = spec_key(workload, scheme, thp)
         self.completed[key] = result
-        self._append({"kind": "result", "key": key,
-                      "result": asdict(result)})
+        self._log.append({"kind": "result", "key": key,
+                          "result": asdict(result)})
 
     def record_failure(self, workload: str, scheme: str, thp: bool,
                        failure: RunFailure) -> None:
         key = spec_key(workload, scheme, thp)
         self.failed[key] = failure
-        self._append({"kind": "failure", "key": key,
-                      "failure": asdict(failure)})
+        self._log.append({"kind": "failure", "key": key,
+                          "failure": asdict(failure)})
 
     # -- lookup -------------------------------------------------------
 
@@ -317,9 +211,9 @@ class RunJournal:
     # -- lifecycle ----------------------------------------------------
 
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        if self._log is not None:
+            self._log.close()
+            self._log = None
 
     def __enter__(self) -> "RunJournal":
         return self

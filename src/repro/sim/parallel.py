@@ -54,7 +54,6 @@ from typing import Dict, List, Optional, Sequence
 from repro.errors import ConfigError, ReproError
 from repro.schemes import registry as scheme_registry
 from repro.sim.config import SimConfig
-from repro.sim.results import ResultSet
 from repro.sim.simulator import Simulator
 from repro.workloads.registry import (
     PRODUCTION_WORKLOADS,
@@ -70,7 +69,6 @@ __all__ = [
     "make_specs",
     "oversubscribe_allowed",
     "resolve_jobs",
-    "run_specs_parallel",
 ]
 
 #: Escape hatch for the CPU-count guardrail: chaos tests (which *need*
@@ -244,27 +242,3 @@ def _worker_run(spec: RunSpec):
         return "ok", Simulator(spec.scheme, built, cfg).run()
     except ReproError as exc:
         return "error", exc
-
-
-def run_specs_parallel(
-    specs: Sequence[RunSpec],
-    jobs: int,
-    on_error: str = "raise",
-    verbose: bool = False,
-) -> ResultSet:
-    """Run ``specs`` across ``jobs`` worker processes.
-
-    Since PR 4 this is a thin wrapper over the sweep supervisor
-    (:mod:`repro.sim.supervisor`) with its default policy: no per-spec
-    deadline, but worker crashes (``BrokenProcessPool``) respawn the
-    pool and retry instead of poisoning the whole sweep, and a
-    KeyboardInterrupt drains in-flight futures and shuts the pool down
-    instead of leaking it.  Outcomes are still slotted by spec index
-    and folded in spec order, so the returned set is field-for-field
-    identical to the serial sweep's.
-    """
-    from repro.sim.supervisor import run_specs_supervised
-
-    return run_specs_supervised(
-        specs, jobs=jobs, on_error=on_error, verbose=verbose
-    )

@@ -1,7 +1,7 @@
 """Crash-safe sweep supervisor: timeouts, retries, quarantine, resume.
 
-``run_specs_parallel`` (PR 2) fans specs across a process pool but
-inherits the pool's failure modes wholesale: a hung worker stalls the
+A bare process pool fans specs across workers but inherits the
+pool's failure modes wholesale: a hung worker stalls the
 sweep forever, a killed worker poisons every pending future with
 ``BrokenProcessPool``, and a Ctrl-C discards all completed cells.  The
 supervisor wraps the same pool — and the same ``_worker_run`` function,

@@ -26,12 +26,6 @@ from repro.workloads.trace_cache import (
     default_cache_root,
     get_cache,
 )
-from repro.workloads.tracefile import (
-    TraceHeader,
-    TraceMismatch,
-    load_trace,
-    save_trace,
-)
 from repro.workloads.registry import (
     FOOTPRINT_SCALE,
     PRODUCTION_WORKLOADS,
@@ -67,8 +61,6 @@ __all__ = [
     "PagePool",
     "SUITE",
     "SegmentSpec",
-    "TraceHeader",
-    "TraceMismatch",
     "TCMALLOC",
     "WORKLOADS",
     "WorkloadInfo",
@@ -78,8 +70,6 @@ __all__ = [
     "gups_trace",
     "kronecker_graph",
     "memcached_trace",
-    "load_trace",
     "mummer_trace",
-    "save_trace",
     "zipf_ranks",
 ]

@@ -1,13 +1,13 @@
-"""Trace compiler: lower a :class:`BuiltWorkload` trace into one packed
-NumPy structured array.
+"""Trace compiler: lower a :class:`BuiltWorkload` trace into the one
+stored form, a read-only little-endian ``int64`` array of virtual
+addresses (:data:`TRACE_DTYPE`).
 
 The sweep behind every figure replays the same reference traces through
-hundreds of (scheme × workload × thp) cells.  The raw generators return
-a bare ``int64`` array of virtual addresses.  The compiler packs it,
-with the VPN, access kind and stride of each reference, into a single
-contiguous structured array (:data:`TRACE_DTYPE`), so that:
+hundreds of (scheme × workload × thp) cells.  The model reads one
+virtual-address stream per cell, so that stream is all a compiled trace
+stores:
 
-* the simulator's per-reference loop reads one memoized column view
+* the simulator's per-reference loop reads one memoized list
   (``trace.vas``) shared by every run that reuses the trace;
 * the array round-trips losslessly through ``.npy`` on disk
   (:mod:`repro.workloads.trace_cache`), where sweep workers memmap it
@@ -16,11 +16,12 @@ contiguous structured array (:data:`TRACE_DTYPE`), so that:
 
 Identity discipline mirrors the run journal: a compiled trace is fully
 described by its *spec* (workload name, footprint scale, workload seed,
-reference count, trace seed) plus :data:`GENERATOR_VERSION`, hashed as
-canonical JSON.  Bump the version whenever any generator's output
-changes; every cached entry is then invalidated at once.
+reference count, trace seed) plus :data:`GENERATOR_VERSION` and the
+dtype, hashed as canonical JSON (:func:`repro.applog.record_digest`).
+Bump the version whenever any generator's output — or the stored
+layout — changes; every cached entry is then re-keyed at once.
 
-Bit-identity guarantee: the ``va`` column is exactly the array the raw
+Bit-identity guarantee: the stored array is exactly the array the raw
 generator returned, so ``CompiledTrace.vas`` equals its ``tolist()``
 element for element — the golden scheme cells reproduce through this
 path (asserted in tests/test_trace_cache.py).
@@ -28,17 +29,13 @@ path (asserted in tests/test_trace_cache.py).
 
 from __future__ import annotations
 
-import hashlib
-import json
 from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.types import BASE_PAGE_SIZE
+from repro.applog import record_digest
 
 __all__ = [
-    "ACCESS_KIND_CODES",
-    "ACCESS_KIND_NAMES",
     "CompiledTrace",
     "GENERATOR_VERSION",
     "TRACE_DTYPE",
@@ -49,51 +46,16 @@ __all__ = [
     "trace_spec",
 ]
 
-#: Bump whenever any trace generator's output — or any workload's VMA
-#: layout, which cache entries also carry — changes for the same
-#: (workload, scale, seeds, refs) inputs.  The version is part of every
-#: cache key, so a bump invalidates all on-disk entries at once.
-GENERATOR_VERSION = 1
+#: Bump whenever any trace generator's output, the stored trace layout,
+#: or any workload's VMA layout (which cache entries also carry) changes
+#: for the same (workload, scale, seeds, refs) inputs.  The version is
+#: part of every cache key, so a bump re-keys all on-disk entries at
+#: once.  Version 2 stores the bare address column.
+GENERATOR_VERSION = 2
 
-_PAGE_SHIFT = BASE_PAGE_SIZE.bit_length() - 1  # 4 KB -> 12
-
-#: One record per memory reference.  Fixed little-endian layout so a
-#: cached ``.npy`` entry is byte-stable across hosts:
-#:   va     — the generated virtual address (the raw trace);
-#:   vpn    — ``va >> 12``; kept so the cache format stays unchanged,
-#:            the simulator no longer reads it;
-#:   kind   — access-kind code (:data:`ACCESS_KIND_CODES`);
-#:   stride — signed byte delta from the previous reference (0 for the
-#:            first), the regularity signal of the Figure 2 study.
-TRACE_DTYPE = np.dtype(
-    [
-        ("va", "<i8"),
-        ("vpn", "<i8"),
-        ("kind", "u1"),
-        ("stride", "<i8"),
-    ]
-)
-
-#: Access-kind code per workload *kind* (the generators do not tag
-#: individual references, so the kind is uniform per trace): graph
-#: kernels, MUMmer and the production spaces read; GUPS is the classic
-#: read-modify-write update; memcached mixes GET/SET traffic.
-ACCESS_KIND_CODES: Dict[str, int] = {
-    "graph": 0,
-    "mummer": 0,
-    "production": 0,
-    "gups": 1,
-    "memcached": 2,
-}
-ACCESS_KIND_NAMES = {0: "read", 1: "update", 2: "mixed"}
-
-
-def _canonical(payload) -> str:
-    """Canonical JSON — the same byte-stable form the run journal
-    fingerprints with (:mod:`repro.sim.journal`)."""
-    return json.dumps(
-        payload, sort_keys=True, separators=(",", ":"), default=str
-    )
+#: One little-endian ``int64`` virtual address per memory reference: a
+#: fixed layout, so a cached ``.npy`` entry is byte-stable across hosts.
+TRACE_DTYPE = np.dtype("<i8")
 
 
 def trace_spec(
@@ -107,7 +69,7 @@ def trace_spec(
 
     Everything that shapes the generated addresses is here; nothing
     else is (scheme, THP and timing knobs never touch the generators).
-    ``dtype`` pins the record layout so a layout change can never alias
+    ``dtype`` pins the stored layout so a layout change can never alias
     an old entry.
     """
     return {
@@ -117,23 +79,21 @@ def trace_spec(
         "num_refs": num_refs,
         "trace_seed": trace_seed,
         "generator_version": GENERATOR_VERSION,
-        # json round-trip normalises the descr tuples to lists so the
-        # spec compares equal to its deserialized form.
-        "dtype": json.loads(json.dumps(TRACE_DTYPE.descr)),
+        "dtype": TRACE_DTYPE.str,
     }
 
 
 def spec_digest(spec: Dict[str, object]) -> str:
     """SHA-256 of the canonical-JSON spec — the cache key."""
-    return hashlib.sha256(_canonical(spec).encode("utf-8")).hexdigest()
+    return record_digest(spec)
 
 
 class CompiledTrace:
-    """A packed trace plus a lazy address list.
+    """A stored trace plus a lazy address list.
 
     ``packed`` may be an in-memory array (just compiled) or a read-only
     memmap (loaded from the trace cache) — consumers cannot tell the
-    difference.  ``vas`` materialises the address column once as plain
+    difference.  ``vas`` materialises the addresses once as plain
     Python ints (one C-level ``tolist`` pass) and is shared by every
     run of a sweep that reuses the trace.
     """
@@ -163,20 +123,14 @@ class CompiledTrace:
     @property
     def vas(self) -> List[int]:
         if self._vas is None:
-            self._vas = self.packed["va"].tolist()
+            self._vas = self.packed.tolist()
         return self._vas
 
 
-def pack_trace(vas: np.ndarray, kind_code: int) -> np.ndarray:
-    """Lower a raw address trace into the packed record layout."""
-    vas = np.ascontiguousarray(vas, dtype=np.int64)
-    packed = np.empty(len(vas), dtype=TRACE_DTYPE)
-    packed["va"] = vas
-    packed["vpn"] = vas >> _PAGE_SHIFT
-    packed["kind"] = kind_code
-    if len(vas):
-        packed["stride"][0] = 0
-        np.subtract(vas[1:], vas[:-1], out=packed["stride"][1:])
+def pack_trace(vas: np.ndarray) -> np.ndarray:
+    """Lower a raw address trace into its stored form: a read-only
+    copy in :data:`TRACE_DTYPE`."""
+    packed = np.array(vas, dtype=TRACE_DTYPE)
     packed.setflags(write=False)
     return packed
 
@@ -206,7 +160,6 @@ def compiled_trace_for(
         hit = memo.get(key)
         if hit is not None:
             return hit
-    kind_code = ACCESS_KIND_CODES.get(built.info.kind, 0)
     scale = getattr(built, "scale", None)
     seed = getattr(built, "seed", None)
     if cache is not None and scale is not None and seed is not None:
@@ -215,14 +168,12 @@ def compiled_trace_for(
         # it as fully as they key the trace.
         compiled = cache.load_or_build(
             spec,
-            lambda: pack_trace(built.trace(num_refs, trace_seed), kind_code),
+            lambda: pack_trace(built.trace(num_refs, trace_seed)),
             layout_fn=built.space.to_layout,
         )
     else:
         spec = trace_spec(built.info.name, -1, -1, num_refs, trace_seed)
-        compiled = CompiledTrace(
-            pack_trace(built.trace(num_refs, trace_seed), kind_code), spec
-        )
+        compiled = CompiledTrace(pack_trace(built.trace(num_refs, trace_seed)), spec)
     if memo is not None:
         memo[key] = compiled
     return compiled

@@ -3,18 +3,20 @@
 Entries live under one directory (``$REPRO_CACHE_DIR`` or
 ``~/.cache/repro/traces``) as a pair of files per trace::
 
-    <sha256-of-spec>.npy    the packed array (np.save format)
+    <sha256-of-spec>.npy    the trace: one little-endian int64
+                            virtual address per reference (np.save
+                            format)
     <sha256-of-spec>.json   sidecar: spec, payload checksum, sizes,
                             and the workload's VMA layout with its
                             own checksum
 
 The key is the SHA-256 of the canonical-JSON trace spec (workload,
 scale, seeds, refs, generator version, dtype — see
-:func:`repro.workloads.compile.trace_spec`), the same fingerprint
-discipline the run journal applies to configs: identical inputs hash to
-the identical entry, and *any* input change — including a
-``GENERATOR_VERSION`` bump — lands on a fresh key, so stale entries can
-never be returned, only orphaned (``gc`` reclaims them).
+:func:`repro.workloads.compile.trace_spec`), hashed by the same
+:func:`repro.applog.record_digest` that fingerprints a sweep's config:
+identical inputs hash to the identical entry, and *any* input change —
+including a ``GENERATOR_VERSION`` bump — lands on a fresh key, so stale
+entries can never be returned, only orphaned (``gc`` reclaims them).
 
 Durability and trust rules:
 

@@ -137,6 +137,13 @@ class TestBulkEqualsPerPage:
 
     @PROPERTY
     @given(vmas=vma_sets(), thp=st.booleans())
+    # Single pages, then one VMA: a leaf's per-key inserts overflow and
+    # packing from its predictions runs off the end of its table.
+    @example(
+        vmas=[VMA(0, 1), VMA(1, 1), VMA(2, 1), VMA(10, 1), VMA(18, 1),
+              VMA(26, 1), VMA(34, 1), VMA(42, 1), VMA(43, 37)],
+        thp=False,
+    )
     def test_lvm_inside_a_batch(self, vmas, thp):
         assert_same(LVMManager, vmas, thp, 0.9, batch=True)
 

@@ -1,9 +1,10 @@
 """Tests for the LVM learned index (paper sections 4.1-4.5)."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import LearnedIndex, LVMConfig
+from repro.core.nodes import leaf_nodes
 from repro.mem import BuddyAllocator, BumpAllocator, fragment_to_max_contiguity
 from repro.types import PTE, PageSize, TranslationError
 
@@ -222,7 +223,61 @@ class TestStats:
         assert idx.stats.lookups == lookups_before
 
 
+def _layout(*runs):
+    """PTEs for runs of (first VPN, mappings, 4 KB pages per mapping)."""
+    ptes = []
+    for vpn, count, pages in runs:
+        size = PageSize.SIZE_2M if pages == 512 else PageSize.SIZE_4K
+        ptes += [
+            PTE(vpn=vpn + i * pages, ppn=len(ptes) + i, page_size=size)
+            for i in range(count)
+        ]
+    return ptes
+
+
+@st.composite
+def mixed_mappings(draw):
+    """Sorted, non-overlapping mappings: runs of 4 KB pages and runs of
+    aligned 2 MB pages, with gaps between the runs."""
+    runs = []
+    cursor = draw(st.integers(min_value=0, max_value=1 << 20))
+    for _ in range(draw(st.integers(min_value=1, max_value=10))):
+        cursor += draw(st.sampled_from([0, 1, 7, 300, 512, 4096, 1 << 18]))
+        if draw(st.booleans()):
+            cursor = -(-cursor // 512) * 512
+            runs.append((cursor, draw(st.integers(min_value=1, max_value=3)), 512))
+        else:
+            runs.append((cursor, draw(st.sampled_from([1, 2, 37, 511, 600])), 1))
+        cursor += runs[-1][1] * runs[-1][2]
+    return _layout(*runs)
+
+
+# Single pages, then one VMA: the per-key inserts overflow, and packing
+# from the predictions runs off the end of the table.
+_OVERFLOWING = _layout((0, 3, 1), (10, 1, 1), (18, 1, 1), (26, 1, 1), (34, 1, 1), (42, 38, 1))
+# A degraded leaf packed from slot 0: its search window must cover each
+# entry's distance from the model's prediction, not from slot 0.
+_PACKED_FROM_SLOT_0 = _layout(
+    (512, 1, 1), (266240, 1, 512), (267264, 2, 512), (268588, 600, 1), (531456, 2, 512)
+)
+
+
 class TestPropertyBased:
+    @settings(max_examples=25, deadline=None)
+    @given(mixed_mappings())
+    @example(_OVERFLOWING)
+    @example(_PACKED_FROM_SLOT_0)
+    def test_bulk_build_over_mixed_page_sizes(self, ptes):
+        """The build never raises, every covered 4 KB VPN translates to
+        its mapping, and every degraded leaf was counted as an
+        error-bound violation."""
+        idx = build(ptes)
+        for pte in ptes:
+            for vpn in range(pte.vpn, pte.vpn + pte.page_size.pages_4k):
+                assert idx.lookup(vpn).pte is pte, (pte, vpn)
+        degraded = sum(leaf.degraded for leaf in leaf_nodes(idx.root))
+        assert idx.stats.error_bound_violations >= degraded
+
     @settings(max_examples=25, deadline=None)
     @given(
         st.lists(

@@ -14,7 +14,6 @@ from repro.sim.parallel import (
     default_jobs,
     make_specs,
     resolve_jobs,
-    run_specs_parallel,
 )
 from repro.sim.runner import summarize_speedups
 
@@ -115,8 +114,6 @@ class TestErrorSemantics:
     def test_jobs_must_be_positive(self):
         with pytest.raises(ConfigError, match="jobs"):
             _suite(jobs=0)
-        with pytest.raises(ConfigError, match="jobs"):
-            run_specs_parallel([], jobs=0)
 
 
 class TestDefaultJobs:

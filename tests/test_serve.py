@@ -13,7 +13,10 @@ import asyncio
 import os
 import signal
 import socket
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -50,6 +53,9 @@ POISON = {
     "pte_bitflip_rate": 0.02,
     "model_perturb_rate": 0.02,
 }
+
+
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(coro):
@@ -231,7 +237,7 @@ class TestTenantJournal:
     def test_tampered_header_is_rejected(self, tmp_path):
         from repro.errors import JournalMismatchError
 
-        from repro.sim.journal import parse_record_line, record_line
+        from repro.applog import parse_record_line, record_line
 
         spec = TenantSpec(name="t")
         TenantJournal.create(tmp_path, spec).close()
@@ -276,6 +282,37 @@ class TestShardWorker:
             {"id": 4, "op": "stats", "tenant": "t", "args": {}}
         )
         assert stats["result"]["mmaps"] == 1
+
+    def test_final_record_without_its_newline_is_replayed(self, tmp_path):
+        """A last record that lost only its newline still passes its
+        checksum: restore replays it, the resubmitted request gets the
+        live answer from the dedup ring, and the state matches the
+        uninterrupted tenant's."""
+        ops = [
+            ("mmap", {"start_vpn": 64, "pages": 8}),
+            ("translate", {"vas": [64 * 4096, 70 * 4096 + 8]}),
+            ("mmap", {"start_vpn": 256, "pages": 4}),
+            ("translate", {"vas": [256 * 4096 + 16, 65 * 4096]}),
+        ]
+        requests = [
+            {"id": 10 + seq, "op": op, "tenant": "t", "seq": seq, "args": args}
+            for seq, (op, args) in enumerate(ops, start=1)
+        ]
+        worker = self._worker(tmp_path)
+        live = [worker.handle(request)[0] for request in requests]
+        assert all(response["ok"] for response in live), live
+        digest = {"id": 99, "op": "digest", "tenant": "t", "args": {}}
+        uninterrupted = worker.handle(digest)[0]["result"]
+        worker.close_all()
+        path = journal_path(tmp_path, "t")
+        path.write_bytes(path.read_bytes()[:-1])
+
+        recovered = ShardWorker(0, str(tmp_path))
+        assert recovered.restore(["t"])["restored"] == ["t"]
+        assert recovered.tenants["t"].last_seq == 4
+        assert recovered.handle(requests[3])[0] == live[3]
+        assert recovered.handle(digest)[0]["result"] == uninterrupted
+        recovered.close_all()
 
     def test_seq_gap_is_a_protocol_error(self, tmp_path):
         worker = self._worker(tmp_path)
@@ -667,3 +704,77 @@ class TestServerRestart:
                 await server.close()
 
         assert run(first()) == run(second())
+
+
+# -- no shard outlives its front end -----------------------------------
+
+def _alive(pid):
+    """True while ``pid`` runs: an exited process left unreaped (a
+    zombie, once its parent is gone) counts as gone."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+class TestNoOrphanedShards:
+    """``repro serve`` in a subprocess: whichever way the front end
+    dies, its shard workers follow it within 5 s."""
+
+    def _start(self, tmp_path):
+        sock = tmp_path / "serve.sock"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC_DIR), env.get("PYTHONPATH")])
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--socket", str(sock),
+             "--state-dir", str(tmp_path / "state"), "--shards", "2"],
+            env=env, stderr=subprocess.DEVNULL,
+        )
+        deadline = time.monotonic() + 60.0
+        while not sock.exists():
+            assert proc.poll() is None, "repro serve exited at startup"
+            assert time.monotonic() < deadline, "repro serve never listened"
+            time.sleep(0.05)
+
+        async def shard_pids():
+            client = await AsyncServeClient.connect(str(sock))
+            try:
+                return (await client.call("server_stats"))["shards"]["pids"]
+            finally:
+                await client.close()
+
+        pids = run(shard_pids())
+        assert len(pids) == 2 and all(_alive(pid) for pid in pids)
+        return proc, pids
+
+    def _assert_shards_follow(self, proc, pids, sig):
+        try:
+            proc.send_signal(sig)
+            proc.wait(timeout=30)
+            deadline = time.monotonic() + 5.0
+            while any(_alive(pid) for pid in pids) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            survivors = [pid for pid in pids if _alive(pid)]
+            assert not survivors, f"shards {survivors} outlived the front end"
+        finally:
+            for pid in pids:
+                if _alive(pid):
+                    os.kill(pid, signal.SIGKILL)
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+
+    @pytest.mark.timeout(120)
+    def test_sigterm_stops_every_shard(self, tmp_path):
+        proc, pids = self._start(tmp_path)
+        self._assert_shards_follow(proc, pids, signal.SIGTERM)
+
+    @pytest.mark.timeout(120)
+    def test_sigkill_stops_every_shard(self, tmp_path):
+        """No shutdown request can reach the shards: they must see EOF."""
+        proc, pids = self._start(tmp_path)
+        self._assert_shards_follow(proc, pids, signal.SIGKILL)

@@ -358,7 +358,7 @@ class TestJournal:
         path = tmp_path / "j.jsonl"
         record = {"kind": "header", "version": 99, "fingerprint": "x"}
         path.write_text(json.dumps(
-            {"record": record, "sha256": journal_module._digest(record)}
+            {"record": record, "sha256": journal_module.record_digest(record)}
         ) + "\n")
         with pytest.raises(JournalMismatchError, match="schema version"):
             RunJournal.open(path, SimConfig(num_refs=100), resume=True)

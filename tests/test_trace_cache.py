@@ -57,7 +57,7 @@ def _spec(num_refs=REFS, trace_seed=TRACE_SEED):
 
 
 def _packed(gups, num_refs=REFS, trace_seed=TRACE_SEED):
-    return pack_trace(gups.trace(num_refs, trace_seed), kind_code=1)
+    return pack_trace(gups.trace(num_refs, trace_seed))
 
 
 # -- bit-identity through the packed pipeline ---------------------------
@@ -85,12 +85,8 @@ class TestPackTrace:
     def test_layout(self, gups):
         raw = gups.trace(REFS, TRACE_SEED)
         packed = _packed(gups)
-        assert packed.dtype == TRACE_DTYPE
-        assert (packed["va"] == raw).all()
-        assert (packed["vpn"] == raw >> 12).all()
-        assert (packed["kind"] == 1).all()
-        assert packed["stride"][0] == 0
-        assert (packed["stride"][1:] == np.diff(raw)).all()
+        assert packed.dtype == TRACE_DTYPE == np.dtype("<i8")
+        assert (packed == raw).all()
         assert not packed.flags.writeable
 
     def test_spec_digest_is_input_sensitive(self):
@@ -203,7 +199,9 @@ class TestVersionInvalidation:
 
         import repro.workloads.compile as compile_mod
 
-        monkeypatch.setattr(compile_mod, "GENERATOR_VERSION", 2)
+        monkeypatch.setattr(
+            compile_mod, "GENERATOR_VERSION", compile_mod.GENERATOR_VERSION + 1
+        )
         bumped = TraceCache(tmp_path)
         assert bumped.get(_spec()) is None  # new key: a miss, not corruption
         assert bumped.invalidated == 0

@@ -1,44 +1,9 @@
-"""Tests for trace persistence and index compaction/reclaim."""
-
-import numpy as np
-import pytest
+"""Tests for index compaction/reclaim."""
 
 from repro.core import LearnedIndex
 from repro.kernel import LVMManager
 from repro.mem import BumpAllocator
 from repro.types import PTE
-from repro.workloads import (
-    TraceMismatch,
-    build_workload,
-    load_trace,
-    save_trace,
-)
-
-
-class TestTraceFile:
-    def test_roundtrip(self, tmp_path):
-        workload = build_workload("gups")
-        path = tmp_path / "gups.npz"
-        header = save_trace(path, workload, 4000, seed=9)
-        addresses, loaded = load_trace(path)
-        assert loaded == header
-        assert len(addresses) == 4000
-        # Identical to a fresh generation with the same seed.
-        assert np.array_equal(addresses, workload.trace(4000, 9))
-
-    def test_workload_validation(self, tmp_path):
-        workload = build_workload("gups")
-        path = tmp_path / "t.npz"
-        save_trace(path, workload, 1000)
-        load_trace(path, expect_workload="gups")
-        with pytest.raises(TraceMismatch):
-            load_trace(path, expect_workload="mem$")
-
-    def test_header_carries_instruction_rate(self, tmp_path):
-        workload = build_workload("mem$")
-        path = tmp_path / "m.npz"
-        header = save_trace(path, workload, 500)
-        assert header.instructions_per_ref == workload.info.instructions_per_ref
 
 
 class TestReclaim:

@@ -146,7 +146,3 @@ def tree_depth(root: Node) -> int:
 
 def leaf_nodes(root: Node) -> List[LeafNode]:
     return [n for n in iter_nodes(root) if isinstance(n, LeafNode)]
-
-
-def internal_nodes(root: Node) -> List[InternalNode]:
-    return [n for n in iter_nodes(root) if isinstance(n, InternalNode)]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict
 
 from repro.types import BASE_PAGE_SHIFT
 
@@ -53,21 +53,3 @@ class ASLRLayout:
 
     def base_vpn(self, segment: str) -> int:
         return self.bases[segment] >> BASE_PAGE_SHIFT
-
-    def exposure_registers(self) -> List[int]:
-        """Values the OS writes to the hardware base registers: one per
-        segment, in a canonical order."""
-        return [self.bases[name] for name in sorted(self.bases)]
-
-    def rebase_vpn(self, vpn: int) -> int:
-        """Remove the ASLR slide from a VPN (what the hardware does
-        using the exposure registers before querying the index)."""
-        va = vpn << BASE_PAGE_SHIFT
-        best_name, best_base = None, -1
-        for name, base in self.bases.items():
-            if base <= va and base > best_base:
-                best_name, best_base = name, base
-        if best_name is None:
-            return vpn
-        canonical = _CANONICAL_BASES[best_name]
-        return vpn - (best_base >> BASE_PAGE_SHIFT) + (canonical >> BASE_PAGE_SHIFT)

@@ -86,11 +86,6 @@ class AddressSpace:
     def total_pages(self) -> int:
         return sum(v.pages for v in self)
 
-    def mapped_vpns(self) -> Iterator[int]:
-        """All mapped VPNs in ascending order."""
-        for vma in self:
-            yield from range(vma.start_vpn, vma.end_vpn)
-
     def gap_coverage(self, gap: int = 1) -> float:
         """Fraction of consecutive mapped-VPN pairs at exactly ``gap``
         (the Figure 2 metric; gap=1 measures sequentiality)."""

@@ -125,9 +125,6 @@ class BuddyAllocator:
     def used_bytes(self) -> int:
         return (self.total_pages - self.free_pages) * BASE_PAGE_SIZE
 
-    def free_blocks_at_order(self, order: int) -> int:
-        return len(self.free_lists[order])
-
     def free_pages_at_or_above(self, order: int) -> int:
         """Free pages sitting in blocks of at least 2**order pages."""
         return sum(

@@ -9,7 +9,7 @@ walkers connect at the L2 by default (the paper's baseline); section
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional
+from typing import Optional
 
 from repro.mmu.cache import Cache
 
@@ -119,12 +119,6 @@ class MemoryHierarchy:
         self._dram_latency = c.l3_latency + c.dram_latency
         self._do_prefetch = c.prefetch_degree > 0
         self._walker_entry = c.walker_entry
-
-    def _chain(self, entry: str) -> List[Cache]:
-        try:
-            return list(self._chains[entry])
-        except KeyError:
-            raise ValueError(f"unknown entry level {entry!r}") from None
 
     def access(self, paddr: int, entry: str = "l1", is_walk: bool = False) -> int:
         """Access a physical address; returns latency in cycles."""

@@ -208,17 +208,3 @@ class TLBHierarchy:
     def flush_asid(self, asid: int) -> None:
         for arr in (*self.l1.values(), *self.l2.values()):
             arr.flush_asid(asid)
-
-    @property
-    def l2_miss_rate(self) -> float:
-        """Miss rate of the L2 TLB over translations that reached it.
-
-        The paper reports per-workload L2 TLB miss rates; a translation
-        "reaches" the L2 when every L1 array missed.  Both size arrays
-        are probed per translation, so pairs of probes are collapsed.
-        """
-        lookups = max(a.accesses for a in self.l2.values())
-        if lookups == 0:
-            return 0.0
-        hits = sum(a.hits for a in self.l2.values())
-        return 1.0 - hits / lookups

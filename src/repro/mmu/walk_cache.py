@@ -14,7 +14,6 @@ accesses during page walks:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro.core.fixed_point import MODEL_BYTES
@@ -250,13 +249,3 @@ class CWC:
         if total == 0:
             return 0.0
         return (self.pmd.hits + self.pud.hits) / total
-
-
-@dataclass
-class WalkCacheStats:
-    """Snapshot used by the reports."""
-
-    name: str
-    hit_rate: float
-    size_bytes: int
-    details: Dict[str, float] = field(default_factory=dict)

@@ -100,10 +100,6 @@ class ECPTStats:
     resizes: int = 0
     kicks: int = 0
 
-    @property
-    def avg_probes(self) -> float:
-        return self.probes_issued / self.lookups if self.lookups else 0.0
-
 
 class _CuckooTable:
     """One d-ary cuckoo hash table for a single page size."""
@@ -339,14 +335,6 @@ class ECPT:
             self._pmd_cwt_base
             + (vpn // PMD_REGION_PAGES) % (1 << 17) * CWT_ENTRY_BYTES
         )
-
-    def cwt_access_paddrs(self, vpn: int) -> List[int]:
-        """Physical addresses of the CWT entries a walk consults: the
-        PUD entry always, the PMD entry only for mixed regions."""
-        paddrs = [self.pud_cwt_paddr(vpn)]
-        if self.needs_pmd_cwt(vpn):
-            paddrs.append(self.pmd_cwt_paddr(vpn))
-        return paddrs
 
     # -- PageTable interface ---------------------------------------------
     def map(self, pte: PTE) -> None:

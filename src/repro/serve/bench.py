@@ -1,9 +1,8 @@
 """The serving-layer benchmark: four scenarios, one JSON verdict.
 
-``repro serve-bench`` (and ``benchmarks/bench_serve.py``) run each
-robustness pillar end to end against a real server — real unix
-socket, real forked shard workers, real journals — and emit
-``BENCH_serve.json``:
+``repro serve-bench`` runs each robustness pillar end to end against
+a real server — real unix socket, real forked shard workers, real
+journals — and emits ``BENCH_serve.json``:
 
 * **baseline** — a multi-tenant zipf mix at moderate concurrency:
   p50/p99 latency, requests/sec, refs/sec, tenants hosted.

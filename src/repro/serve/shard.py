@@ -27,15 +27,14 @@ Crash-recovery contract (the other half lives in ``shards.py``):
   crash.
 
 Hung-worker diagnostics: the worker registers :mod:`faulthandler` on
-``SIGUSR1`` at startup, so the supervising parent can demand a stack
+``SIGUSR1`` at startup (``sim.supervisor.install_worker_signals``, the
+sweep pool's routine too), so the supervising parent can demand a stack
 dump (to the inherited stderr) before it SIGKILLs a shard that missed
 its heartbeat deadline — the dump says *where* the shard was wedged.
 """
 
 from __future__ import annotations
 
-import faulthandler
-import signal
 import socket
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -49,33 +48,15 @@ from repro.errors import (
 from repro.serve.protocol import error_payload, read_frame_sock, write_frame_sock
 from repro.serve.tenant import MUTATING_OPS, Tenant, TenantSpec
 from repro.serve.tenant_journal import TenantJournal
+from repro.sim.supervisor import install_worker_signals
 
-__all__ = ["ShardWorker", "install_worker_signals", "shard_main"]
+__all__ = ["ShardWorker", "shard_main"]
 
 #: Per-tenant ring of recent (seq → response) pairs used to answer
 #: resubmitted duplicates.  Must exceed the front end's per-tenant
 #: in-flight bound, so a duplicate is always either in the ring or
 #: below it (in which case a bare dedup ack is enough).
 RESULT_RING = 512
-
-
-def install_worker_signals() -> None:
-    """Worker-process signal discipline.
-
-    * ``SIGINT`` is ignored: a terminal Ctrl-C goes to the whole
-      process group, and shutdown must stay the parent's decision so
-      journals close in a controlled order.
-    * ``SIGTERM`` gets its default action back: the fork copies the
-      front end's handler, which only cancels the front end's serve
-      loop and would leave a worker deaf to SIGTERM.
-    * ``SIGUSR1`` dumps every thread's stack to stderr via
-      :mod:`faulthandler` — the supervisor's pre-kill diagnostic for
-      wedged workers (also installed by the sweep pool; see
-      ``sim/supervisor.py``).
-    """
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    faulthandler.register(signal.SIGUSR1, chain=False)
 
 
 class ShardWorker:

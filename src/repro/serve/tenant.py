@@ -391,9 +391,3 @@ class Tenant:
             "mappings": len(mappings),
             "sampled": stride > 1,
         }
-
-    # -- introspection -------------------------------------------------
-
-    @property
-    def vma_count(self) -> int:
-        return len(self.process.address_space)

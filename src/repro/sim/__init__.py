@@ -9,11 +9,15 @@ from repro.sim.config import (
     table1_rows,
 )
 from repro.sim.journal import RunJournal, config_fingerprint
-from repro.sim.parallel import RunSpec, default_jobs, resolve_jobs
 from repro.sim.results import ResultSet, RunFailure, SimResult, geomean, mean
 from repro.sim.runner import run_suite, summarize_speedups
 from repro.sim.simulator import Simulator, simulate
-from repro.sim.supervisor import SupervisorPolicy, run_specs_supervised
+from repro.sim.supervisor import (
+    RunSpec,
+    SupervisorPolicy,
+    default_jobs,
+    resolve_jobs,
+)
 
 __all__ = [
     "CoreModel",
@@ -33,7 +37,6 @@ __all__ = [
     "geomean",
     "resolve_jobs",
     "mean",
-    "run_specs_supervised",
     "run_suite",
     "simulate",
     "summarize_speedups",

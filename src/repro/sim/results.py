@@ -61,13 +61,6 @@ class SimResult:
     def walk_traffic_per_walk(self) -> float:
         return self.walk_traffic / self.walks if self.walks else 0.0
 
-    @property
-    def mgmt_fraction(self) -> float:
-        return self.mgmt_cycles / self.cycles if self.cycles else 0.0
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
-
     @classmethod
     def from_dict(cls, record: Dict[str, object]) -> "SimResult":
         """Inverse of ``dataclasses.asdict``.

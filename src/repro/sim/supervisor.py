@@ -1,11 +1,39 @@
-"""Crash-safe sweep supervisor: timeouts, retries, quarantine, resume.
+"""The sweep executor: every ``run_suite`` cell runs through here.
 
-A bare process pool fans specs across workers but inherits the
-pool's failure modes wholesale: a hung worker stalls the
-sweep forever, a killed worker poisons every pending future with
-``BrokenProcessPool``, and a Ctrl-C discards all completed cells.  The
-supervisor wraps the same pool — and the same ``_worker_run`` function,
-so results stay bit-identical — with a host-level reliability layer:
+``run_suite`` describes its grid as picklable :class:`RunSpec` values
+(live simulators — page tables, walkers, trace closures — do not
+pickle) and hands them, with one module-level cell function, to a
+:class:`SweepSupervisor`.  The supervisor replays journal hits, then
+runs the pending cells one of two ways:
+
+* **In this process**, in spec order, when ``jobs == 1`` and there is
+  no ``run_timeout``: no pool and no signal handlers.  A Ctrl-C stops
+  the sweep mid-cell; with a journal attached it is raised as
+  :class:`~repro.errors.SweepInterrupted`.
+* **In a process pool** otherwise, under a host-level reliability
+  layer — a bare pool lets a hung worker stall the sweep forever, a
+  killed worker poison every pending future with
+  ``BrokenProcessPool``, and a Ctrl-C discard all completed cells.
+
+Rules both ways share, in order of importance:
+
+* **Bit-identical results.**  Every cell runs the same cell function
+  on the same spec; every RNG in the pipeline is seeded, so a cell's
+  :class:`SimResult` does not depend on where it ran.
+* **Deterministic order.**  Outcomes are folded in spec order, not
+  completion order.
+* **One error rule.**  A :class:`ReproError` from a cell is a
+  *simulated* failure: deterministic, journaled, never retried, and
+  either raised (``on_error="raise"``, after it is journaled) or
+  recorded in ``ResultSet.failures`` (``"collect"``).  Any other
+  exception is a bug and propagates.
+* **Journal integration.**  With a :class:`~repro.sim.journal.RunJournal`
+  attached, journal hits are replayed before any cell runs (a
+  journaled failure under ``on_error="raise"`` raises right there),
+  and every completed cell is checkpointed as it finishes — a resumed
+  sweep is bit-identical to an uninterrupted one.
+
+The pool adds:
 
 * **Deadlines in the parent.**  Each attempt gets a wall-clock
   deadline checked from the parent's wait loop (no SIGALRM, no signals
@@ -16,9 +44,7 @@ so results stay bit-identical — with a host-level reliability layer:
 * **Bounded retry with exponential backoff.**  Host-level failures
   (timeout, worker crash) retry up to ``retries`` extra attempts with
   ``backoff_base * backoff_factor**(attempt-1)`` delay, capped at
-  ``backoff_max``.  *Simulated* failures (:class:`ReproError` returned
-  by the worker) are deterministic and never retried — they follow the
-  serial sweep's ``on_error`` semantics exactly.
+  ``backoff_max``.
 * **Quarantine, not silence.**  A spec that exhausts its retry budget
   is recorded as a structured
   :class:`~repro.errors.SpecQuarantinedError` in
@@ -28,30 +54,24 @@ so results stay bit-identical — with a host-level reliability layer:
   as a crashed attempt (the culprit cannot be identified from the
   parent, so all of them were "possibly it"), kills the pool, and
   respawns it; specs queued behind the crash re-run untouched.
-* **Journal integration.**  With a :class:`~repro.sim.journal.RunJournal`
-  attached, completed cells are checkpointed as they finish and
-  journal hits are replayed instead of re-run — a resumed sweep is
-  bit-identical to an uninterrupted one.
-* **Shared traces.**  ``run_suite`` fills the content-addressed cache
-  (:mod:`repro.workloads.trace_cache`) with every distinct trace and
-  its workload's VMA layout before the pool spins up; the workers
-  supervised here memmap those packed entries read-only and load the
-  layouts instead of re-synthesizing traces or rebuilding workloads,
-  so a respawned pool (or a retried spec) re-opens a file rather than
-  re-running a generator.
 * **Graceful shutdown.**  SIGINT/SIGTERM stop new submissions, drain
   the in-flight futures (workers ignore SIGINT, so Ctrl-C in a
   terminal does not kill them mid-cell), flush the journal, and raise
   :class:`~repro.errors.SweepInterrupted` — a ``KeyboardInterrupt``
   subclass carrying the journal path, which the CLI turns into an
   exit-130 "resume with ..." hint.  A second signal aborts
-  immediately.
+  immediately.  A worker itself dies on SIGTERM
+  (:func:`install_worker_signals`); its cell is retried as a crash.
+
+``run_suite`` loads every workload the pending cells need
+(:meth:`SweepSupervisor.pending_workloads`) into one per-sweep memo
+before the first cell runs; forked pool workers inherit it.
 
 State machine per spec (see ``docs/INTERNALS.md`` §11)::
 
     JOURNAL-HIT ──────────────────────────────────────────▶ DONE
     PENDING ─▶ RUNNING ─▶ ok / simulated failure ─────────▶ DONE
-                 │ timeout / worker crash
+                 │ timeout / worker crash (pool only)
                  ▼
               BACKOFF ─▶ RUNNING (attempt+1) ...
                  │ attempts exhausted
@@ -63,15 +83,16 @@ from __future__ import annotations
 
 import faulthandler
 import heapq
+import importlib
 import os
 import signal
 import threading
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from time import monotonic, sleep
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.errors import (
     ConfigError,
@@ -81,25 +102,199 @@ from repro.errors import (
     SweepInterrupted,
     WorkerCrashError,
 )
+from repro.schemes import registry as scheme_registry
+from repro.sim.config import SimConfig
 from repro.sim.journal import RunJournal
-from repro.sim.parallel import RunSpec, _worker_run
 from repro.sim.results import ResultSet, RunFailure, SimResult
+from repro.workloads.registry import PRODUCTION_WORKLOADS, SUITE, WORKLOADS
 
-__all__ = ["SupervisorPolicy", "SweepSupervisor", "run_specs_supervised"]
+__all__ = [
+    "RunSpec",
+    "SupervisorPolicy",
+    "SweepSupervisor",
+    "default_jobs",
+    "install_worker_signals",
+    "make_specs",
+    "oversubscribe_allowed",
+    "resolve_jobs",
+]
+
+#: Escape hatch for the CPU-count guardrail: chaos tests (which *need*
+#: a worker pool to SIGKILL) and deliberate SMT/oversubscription
+#: experiments set REPRO_OVERSUBSCRIBE=1 to run more workers than
+#: visible CPUs.
+OVERSUBSCRIBE_ENV = "REPRO_OVERSUBSCRIBE"
 
 
-def _init_worker() -> None:
-    """Pool initializer: workers must not die from a terminal Ctrl-C
-    (the signal goes to the whole foreground process group); the parent
-    decides whether to drain or abort them.  SIGUSR1 dumps every
-    thread's Python stack to stderr — the parent sends it before
-    killing a worker that blew its deadline, so a hang leaves a
-    post-mortem trace instead of a silent kill."""
+def oversubscribe_allowed() -> bool:
+    raw = os.environ.get(OVERSUBSCRIBE_ENV, "").strip().lower()
+    return raw not in ("", "0", "false", "no", "off")
+
+
+@dataclass(frozen=True)
+class RunSpec:
+    """One (workload, scheme, thp) cell, described by values that pickle.
+
+    ``config`` is the sweep's *base* config; the cell function clones
+    it with ``thp`` applied, so a spec stays a pure description.
+
+    ``scheme`` is a canonical registry name — descriptors themselves
+    never pickle.  ``scheme_module`` records the module whose import
+    registers the descriptor, so a worker that does not inherit the
+    parent's registry (``spawn`` start method) can re-import it before
+    resolving the name.
+    """
+
+    workload: str
+    scheme: str
+    thp: bool
+    scale: int
+    workload_seed: int
+    config: SimConfig = field(repr=False)
+    scheme_module: Optional[str] = None
+
+
+def default_jobs() -> int:
+    """Worker count from ``REPRO_JOBS`` (default 1 = in-process),
+    capped at ``os.cpu_count()``.
+
+    A malformed value is a configuration mistake, not a silent
+    fallback: ``REPRO_JOBS=abc`` or ``-3`` raises :class:`ConfigError`
+    naming the offending value (the CLI maps it to exit code 2).  A
+    value above the visible CPU count is clamped — more workers than
+    cores is measured slower than serial (BENCH_sweep.json) — unless
+    :data:`OVERSUBSCRIBE_ENV` opts out of the cap.
+    """
+    raw = os.environ.get("REPRO_JOBS")
+    if raw is None or raw == "":
+        return 1
+    try:
+        jobs = int(raw)
+    except ValueError:
+        raise ConfigError(
+            f"REPRO_JOBS={raw!r} is not an integer worker count"
+        ) from None
+    if jobs < 1:
+        raise ConfigError(f"REPRO_JOBS={raw!r} must be >= 1")
+    if not oversubscribe_allowed():
+        jobs = min(jobs, os.cpu_count() or 1)
+    return jobs
+
+
+def resolve_jobs(
+    jobs: int,
+    num_specs: int,
+    run_timeout: Optional[float] = None,
+) -> "tuple[int, Optional[str]]":
+    """The worker count a sweep should actually use: ``(jobs, reason)``.
+
+    ``reason`` is non-None when the guardrail overrode the request and
+    explains why (the runner logs it).  Two cases fall back to serial:
+
+    * ``jobs`` exceeds the visible CPU count — oversubscribed workers
+      contend for the same cores and lose to the serial loop (measured
+      0.77x in BENCH_sweep.json on a 1-CPU host);
+    * the grid has fewer cells than workers — pool startup/teardown
+      costs more than it can ever recover on so small a sweep.
+
+    A ``run_timeout`` disables the guardrail entirely: deadlines can
+    only be enforced by killing a *subprocess*, so supervised runs keep
+    their pool even where it is slower.  So does
+    :data:`OVERSUBSCRIBE_ENV` (chaos tests kill workers on purpose).
+    """
+    if jobs <= 1 or run_timeout is not None or oversubscribe_allowed():
+        return jobs, None
+    cpus = os.cpu_count() or 1
+    if jobs > cpus:
+        return 1, (
+            f"jobs={jobs} exceeds the {cpus} visible CPU(s); "
+            "oversubscribed workers are slower than the serial loop "
+            f"(set {OVERSUBSCRIBE_ENV}=1 to force a pool)"
+        )
+    if num_specs < jobs:
+        return 1, (
+            f"grid has {num_specs} cell(s) for {jobs} workers; pool "
+            "startup would cost more than it recovers"
+        )
+    return jobs, None
+
+
+def make_specs(
+    names: Sequence[str],
+    schemes: Sequence[str],
+    page_modes: Sequence[bool],
+    config: SimConfig,
+) -> List[RunSpec]:
+    """Spec list in sweep order (thp, name, scheme).
+
+    Unknown workload *and* scheme names are rejected here, before any
+    cell runs: workloads with a :class:`ConfigError` listing the known
+    names, schemes with :class:`~repro.errors.UnknownSchemeError`
+    listing ``registry.available()``.  Scheme aliases canonicalize, so
+    every sweep records the same ``SimResult.scheme`` strings.
+    """
+    for name in names:
+        if name not in WORKLOADS and name not in PRODUCTION_WORKLOADS:
+            raise ConfigError(
+                f"unknown workload {name!r}; choose from "
+                f"{SUITE + list(PRODUCTION_WORKLOADS)}"
+            )
+    resolved = [
+        (scheme_registry.canonical_name(s), scheme_registry.provider_module(s))
+        for s in schemes
+    ]
+    return [
+        RunSpec(
+            workload=name,
+            scheme=scheme,
+            thp=thp,
+            scale=config.footprint_scale,
+            workload_seed=config.workload_seed,
+            config=config,
+            scheme_module=module,
+        )
+        for thp in page_modes
+        for name in names
+        for scheme, module in resolved
+    ]
+
+
+def install_worker_signals() -> None:
+    """Signal discipline of every worker process (sweep pool workers
+    and serve shards).
+
+    * ``SIGINT`` is ignored: a terminal Ctrl-C goes to the whole
+      process group, and whether to drain or abort — hence the order in
+      which journals close — stays the parent's decision.
+    * ``SIGTERM`` gets its default action back: a fork copies the
+      parent's handler (the supervisor's drain request, the serve
+      front end's loop cancel), which would leave a worker deaf to
+      SIGTERM.
+    * ``SIGUSR1`` dumps every thread's stack to stderr via
+      :mod:`faulthandler` — the parent sends it before killing a
+      worker that blew its deadline, so a hang leaves a post-mortem
+      trace instead of a silent kill.
+    """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     try:
         faulthandler.register(signal.SIGUSR1, chain=False)
     except (AttributeError, ValueError, OSError):
         pass  # no SIGUSR1 (non-POSIX) or no faulthandler support
+
+
+def _attempt(cell: Callable[[RunSpec], SimResult], spec: RunSpec) -> tuple:
+    """One attempt at one cell: ("ok", SimResult) or ("error",
+    ReproError).  A simulated failure comes back as a value, so it never
+    crashes the pool; other exceptions escape on purpose (bugs)."""
+    if not scheme_registry.is_registered(spec.scheme) and spec.scheme_module:
+        # A ``spawn`` worker starts with only the built-in registry; a
+        # custom scheme re-registers by importing its provider module.
+        importlib.import_module(spec.scheme_module)
+    try:
+        return "ok", cell(spec)
+    except ReproError as exc:
+        return "error", exc
 
 
 @dataclass(frozen=True)
@@ -110,6 +305,7 @@ class SupervisorPolicy:
     from submission (the supervisor keeps at most ``jobs`` specs in
     flight, so submission and start coincide); ``None`` disables
     deadlines.  ``retries`` counts extra attempts after the first.
+    A bad value is rejected when the policy is made.
     """
 
     run_timeout: Optional[float] = None
@@ -117,6 +313,9 @@ class SupervisorPolicy:
     backoff_base: float = 0.25
     backoff_factor: float = 2.0
     backoff_max: float = 5.0
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         if self.run_timeout is not None and self.run_timeout <= 0:
@@ -154,30 +353,32 @@ class _Inflight:
 
 
 class SweepSupervisor:
-    """Drives one spec list to completion; see the module docstring."""
+    """Drives one spec list to completion; see the module docstring.
+
+    ``cell`` runs one spec and returns its :class:`SimResult`; it must
+    be a module-level function so a pool can pickle it by name.
+    Journal hits are replayed here, so :meth:`pending_workloads` is
+    known before :meth:`run`.  ``jobs`` and ``on_error`` are the
+    caller's to check (``run_suite`` does).
+    """
 
     def __init__(
         self,
         specs: Sequence[RunSpec],
-        jobs: int,
+        cell: Callable[[RunSpec], SimResult],
+        jobs: int = 1,
         on_error: str = "raise",
         verbose: bool = False,
         journal: Optional[RunJournal] = None,
         policy: Optional[SupervisorPolicy] = None,
     ):
-        if jobs < 1:
-            raise ConfigError(f"jobs must be >= 1, got {jobs!r}")
-        if on_error not in ("raise", "collect"):
-            raise ConfigError(
-                f"on_error must be 'raise' or 'collect', got {on_error!r}"
-            )
         self.specs = list(specs)
+        self.cell = cell
         self.jobs = jobs
         self.on_error = on_error
         self.verbose = verbose
         self.journal = journal
         self.policy = policy or SupervisorPolicy()
-        self.policy.validate()
         # One slot per spec: None until the spec reaches DONE, then
         # ("ok", SimResult) / ("error", exception) / ("failure", RunFailure).
         self._outcomes: List[Optional[tuple]] = [None] * len(self.specs)
@@ -188,16 +389,51 @@ class SweepSupervisor:
         self._ready: deque = deque()
         self._delayed: List[tuple] = []
         self._stop_signals = 0
+        self._replay_journal_hits()
 
     # -- public entry --------------------------------------------------
 
-    def run(self) -> ResultSet:
-        self._replay_journal_hits()
-        self._ready = deque(
-            (idx, 1)
-            for idx, slot in enumerate(self._outcomes)
+    def pending_workloads(self) -> List[str]:
+        """Workload names the cells still to run need, in spec order —
+        a resumed sweep loads nothing for fully journaled names."""
+        return list(dict.fromkeys(
+            spec.workload
+            for spec, slot in zip(self.specs, self._outcomes)
             if slot is None
+        ))
+
+    def run(self) -> ResultSet:
+        """Run the pending cells — here at one job without a deadline,
+        in a pool otherwise — and fold every outcome in spec order."""
+        pending = [idx for idx, slot in enumerate(self._outcomes) if slot is None]
+        if self.jobs == 1 and self.policy.run_timeout is None:
+            self._run_in_process(pending)
+        else:
+            self._run_pool(pending)
+        return self._fold()
+
+    def _interrupted(self) -> SweepInterrupted:
+        return SweepInterrupted(
+            journal_path=self.journal.path if self.journal else None,
+            completed=sum(1 for slot in self._outcomes if slot is not None),
+            total=len(self.specs),
         )
+
+    def _run_in_process(self, pending: List[int]) -> None:
+        """Cells in spec order, here: nothing to kill or drain, so no
+        pool and no signal handlers.  Completed cells are journaled as
+        they finish, so a Ctrl-C with a journal attached becomes the
+        CLI's resumable SweepInterrupted."""
+        try:
+            for idx in pending:
+                self._complete(idx, *_attempt(self.cell, self.specs[idx]))
+        except KeyboardInterrupt:
+            if self.journal is None:
+                raise
+            raise self._interrupted() from None
+
+    def _run_pool(self, pending: List[int]) -> None:
+        self._ready = deque((idx, 1) for idx in pending)
         restore = self._install_signal_handlers()
         try:
             if self._ready:
@@ -226,14 +462,7 @@ class SweepSupervisor:
                     continue
                 self._reap(self._wait_timeout())
             if self._stop_signals:
-                raise SweepInterrupted(
-                    journal_path=self.journal.path if self.journal else None,
-                    completed=sum(
-                        1 for slot in self._outcomes if slot is not None
-                    ),
-                    total=len(self.specs),
-                )
-            return self._fold()
+                raise self._interrupted()
         except BaseException:
             # Exceptional exit (quarantine under on_error="raise", a
             # simulated failure propagating, SweepInterrupted): workers
@@ -249,7 +478,7 @@ class SweepSupervisor:
 
     def _make_pool(self) -> ProcessPoolExecutor:
         return ProcessPoolExecutor(
-            max_workers=self.jobs, initializer=_init_worker
+            max_workers=self.jobs, initializer=install_worker_signals
         )
 
     def _kill_pool(self) -> None:
@@ -316,7 +545,7 @@ class SweepSupervisor:
             if self.policy.run_timeout is not None
             else None
         )
-        future = self._pool.submit(_worker_run, self.specs[idx])
+        future = self._pool.submit(_attempt, self.cell, self.specs[idx])
         self._pending[future] = _Inflight(idx, attempt, deadline)
 
     def _wait_timeout(self) -> Optional[float]:
@@ -352,7 +581,7 @@ class SweepSupervisor:
                     ),
                 )
                 continue
-            self._complete(inflight, status, payload)
+            self._complete(inflight.idx, status, payload)
         if broken:
             self._respawn()
             return
@@ -386,11 +615,11 @@ class SweepSupervisor:
         spec = self.specs[idx]
         return f"{spec.workload}/{spec.scheme}/thp={int(spec.thp)}"
 
-    def _complete(self, inflight: _Inflight, status: str, payload) -> None:
-        """A worker returned: either a result or a *simulated* failure
+    def _complete(self, idx: int, status: str, payload) -> None:
+        """A cell returned: either a result or a *simulated* failure
         (deterministic — journaled and never retried)."""
-        spec = self.specs[inflight.idx]
-        self._outcomes[inflight.idx] = (status, payload)
+        spec = self.specs[idx]
+        self._outcomes[idx] = (status, payload)
         if self.journal is not None:
             if status == "ok":
                 self.journal.record_result(
@@ -479,8 +708,7 @@ class SweepSupervisor:
                 self._outcomes[idx] = ("failure", failure)
 
     def _fold(self) -> ResultSet:
-        """Outcomes → ResultSet in spec order, exactly like the serial
-        sweep would have produced them."""
+        """Outcomes → ResultSet in spec order, wherever each cell ran."""
         results = ResultSet()
         for spec, outcome in zip(self.specs, self._outcomes):
             status, payload = outcome
@@ -516,21 +744,3 @@ class SweepSupervisor:
 
         return restore
 
-
-def run_specs_supervised(
-    specs: Sequence[RunSpec],
-    jobs: int,
-    on_error: str = "raise",
-    verbose: bool = False,
-    journal: Optional[RunJournal] = None,
-    policy: Optional[SupervisorPolicy] = None,
-) -> ResultSet:
-    """Run ``specs`` under supervision; see :class:`SweepSupervisor`."""
-    return SweepSupervisor(
-        specs,
-        jobs=jobs,
-        on_error=on_error,
-        verbose=verbose,
-        journal=journal,
-        policy=policy,
-    ).run()

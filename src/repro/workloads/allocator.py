@@ -80,20 +80,3 @@ JEMALLOC = AllocatorModel("jemalloc", hole_fraction=0.004, hole_max=8, jitter=0.
 TCMALLOC = AllocatorModel("tcmalloc", hole_fraction=0.006, hole_max=12, jitter=0.006)
 
 ALLOCATORS = {"jemalloc": JEMALLOC, "tcmalloc": TCMALLOC}
-
-
-def gap_coverage_of_runs(runs: List[Tuple[int, int]]) -> float:
-    """Figure 2's metric computed directly over a run layout."""
-    total = 0
-    matching = 0
-    prev_end = None
-    for start, pages in runs:
-        if pages > 1:
-            total += pages - 1
-            matching += pages - 1
-        if prev_end is not None:
-            total += 1
-            if start - prev_end == 1:
-                matching += 1
-        prev_end = start + pages - 1
-    return matching / total if total else 1.0

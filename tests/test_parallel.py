@@ -1,5 +1,5 @@
-"""Parallel sweep engine (`repro.sim.parallel`): bit-identity with the
-serial path, deterministic ordering, serial error semantics, and the
+"""Parallel sweeps (`repro.sim.supervisor`'s pool): bit-identity with
+the in-process path, deterministic ordering, one error rule, and the
 CPU-count guardrail."""
 
 import os
@@ -10,7 +10,7 @@ import pytest
 from repro.errors import ConfigError, ReproError
 from repro.faults import FaultPlan
 from repro.sim import SimConfig, run_suite
-from repro.sim.parallel import (
+from repro.sim.supervisor import (
     default_jobs,
     make_specs,
     resolve_jobs,

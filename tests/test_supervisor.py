@@ -3,15 +3,19 @@ the crash-safe run journal (`repro.sim.journal`).
 
 The properties pinned here are the ones a long evaluation depends on:
 
-* a worker killed mid-sweep is retried and the sweep's ResultSet is
-  bit-identical to a serial run, with zero lost or duplicated cells;
+* a worker killed mid-sweep — SIGKILL or SIGTERM — is retried and the
+  sweep's ResultSet is bit-identical to a serial run, with zero lost or
+  duplicated cells;
 * a hung run is timed out in the parent, retried, and finally
   quarantined as a structured failure carrying its attempt count;
 * a sweep checkpointed to a journal — even one with a torn final
   record — resumes to a ResultSet bit-identical to the golden
   pre-refactor cells;
 * a journal written under a different configuration is rejected with
-  a typed ``JournalMismatchError`` (exit code 2 through the CLI).
+  a typed ``JournalMismatchError`` (exit code 2 through the CLI);
+* the executor's shared rules hold at one job (in process) and in a
+  pool alike: a fail-fast cell is journaled before it raises, a Ctrl-C
+  resumes bit-identically, and a fully journaled sweep loads nothing.
 """
 
 import json
@@ -19,6 +23,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from dataclasses import asdict
 from pathlib import Path
@@ -31,20 +36,17 @@ from repro.cli import main as cli_main
 from repro.errors import (
     ConfigError,
     JournalMismatchError,
+    ReproError,
     SpecQuarantinedError,
     SweepInterrupted,
 )
 from repro.schemes import registry
 from repro.schemes.radix import RadixScheme
-from repro.sim import SimConfig, run_suite
+from repro.sim import SimConfig, run_suite, runner
 from repro.sim.journal import RunJournal, config_fingerprint, spec_key
-from repro.sim.parallel import make_specs
 from repro.sim.results import RunFailure, SimResult
-from repro.sim.supervisor import (
-    SupervisorPolicy,
-    SweepSupervisor,
-    run_specs_supervised,
-)
+from repro.sim.supervisor import SupervisorPolicy, SweepSupervisor, make_specs
+from repro.workloads.trace_cache import TraceCache
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "scheme_cells.json"
 REFS = 1_000
@@ -90,14 +92,45 @@ class SleeperScheme(RadixScheme):
         return super().make_page_table(sim)  # pragma: no cover
 
 
+class StalledScheme(RadixScheme):
+    """Radix clone whose first build writes its process id to
+    ``pid_file`` and stalls; every later build behaves exactly like
+    radix."""
+
+    name = "stalled"
+    aliases = ()
+    core = False
+    pid_file: Path = None  # set by the fixture
+
+    def make_page_table(self, sim):
+        if not self.pid_file.exists():
+            self.pid_file.write_text(str(os.getpid()))
+            time.sleep(60)
+        return super().make_page_table(sim)
+
+
 @pytest.fixture(scope="module", autouse=True)
 def _chaos_schemes(tmp_path_factory):
-    KamikazeScheme.sentinel = tmp_path_factory.mktemp("chaos") / "died-once"
-    kamikaze = registry.register(KamikazeScheme())
-    sleeper = registry.register(SleeperScheme())
+    chaos_dir = tmp_path_factory.mktemp("chaos")
+    KamikazeScheme.sentinel = chaos_dir / "died-once"
+    StalledScheme.pid_file = chaos_dir / "stalled.pid"
+    schemes = [
+        registry.register(scheme())
+        for scheme in (KamikazeScheme, SleeperScheme, StalledScheme)
+    ]
     yield
-    registry.unregister(kamikaze.name)
-    registry.unregister(sleeper.name)
+    for scheme in schemes:
+        registry.unregister(scheme.name)
+
+
+def _alive(pid):
+    """True while ``pid`` runs: an exited process left unreaped (a
+    zombie) counts as gone."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
 @pytest.fixture(scope="module")
@@ -199,6 +232,53 @@ class TestWorkerKill:
         # The dump names the frame the worker was wedged in.
         assert "make_page_table" in proc.stderr, proc.stderr
 
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                        reason="needs /proc")
+    @pytest.mark.timeout(180)
+    def test_sigterm_ends_a_worker_and_its_cell_is_retried(self, capsys):
+        """A fork copies the supervisor's SIGTERM drain handler into
+        every pool worker; the worker must reset it, or a SIGTERM'd
+        worker keeps running its cell.  A SIGTERM'd worker exits at
+        once, and the supervisor retries its cell as a crash."""
+        pid_file = StalledScheme.pid_file
+        exited_after = []
+
+        def terminate_the_stalled_worker():
+            deadline = time.monotonic() + 120
+            while time.monotonic() < deadline:
+                text = pid_file.read_text() if pid_file.exists() else ""
+                if text:
+                    break
+                time.sleep(0.05)
+            pid = int(text)
+            assert pid != os.getpid(), "the cell ran in the test process"
+            os.kill(pid, signal.SIGTERM)
+            sent = time.monotonic()
+            while _alive(pid) and time.monotonic() - sent < 10:
+                time.sleep(0.05)
+            exited_after.append(
+                None if _alive(pid) else time.monotonic() - sent
+            )
+
+        killer = threading.Thread(target=terminate_the_stalled_worker)
+        killer.start()
+        try:
+            results = run_suite(
+                ["gups"], ["radix", "stalled"], page_modes=(False,),
+                config=SimConfig(num_refs=300), jobs=2, on_error="collect",
+                verbose=True,
+            )
+        finally:
+            killer.join(timeout=150)
+        assert exited_after and exited_after[0] is not None, \
+            "the worker outlived its SIGTERM by 10 s"
+        assert exited_after[0] < 5.0
+        assert not results.failures
+        assert [r.scheme for r in results.results] == ["radix", "stalled"]
+        out = capsys.readouterr().out
+        assert "retrying gups/stalled/thp=0" in out
+        assert "WorkerCrashError" in out
+
 
 class TestGracefulShutdown:
     def test_pre_signalled_supervisor_raises_sweep_interrupted(self, tmp_path):
@@ -215,7 +295,9 @@ class TestGracefulShutdown:
         specs = make_specs(["gups"], ["radix", "lvm"], [False], cfg)
         journal = RunJournal.open(journal_path, cfg, resume=True)
         try:
-            supervisor = SweepSupervisor(specs, jobs=2, journal=journal)
+            supervisor = SweepSupervisor(
+                specs, runner._run_cell, jobs=2, journal=journal
+            )
             supervisor._stop_signals = 1
             with pytest.raises(SweepInterrupted) as excinfo:
                 supervisor.run()
@@ -239,11 +321,93 @@ class TestGracefulShutdown:
         assert policy.backoff(10) == 3.0  # capped
         assert policy.max_attempts == 3
 
-    def test_supervisor_rejects_bad_arguments(self):
+    def test_supervisor_rejects_bad_arguments(self, tmp_path):
+        """run_suite checks both once, before it creates a journal."""
+        path = tmp_path / "j.jsonl"
         with pytest.raises(ConfigError, match="jobs"):
-            run_specs_supervised([], jobs=0)
+            run_suite(["gups"], ["radix"], jobs=0, journal=path)
         with pytest.raises(ConfigError, match="on_error"):
-            run_specs_supervised([], jobs=1, on_error="ignore")
+            run_suite(["gups"], ["radix"], on_error="ignore", journal=path)
+        assert not path.exists()
+
+
+class TestSharedRules:
+    """Rules of the one sweep executor, wherever a cell runs: in this
+    process (jobs=1) or in a pool (jobs=2)."""
+
+    # 1 MB of physical memory cannot hold gups' 4 KB-page tables: the
+    # cell raises a deterministic ReproError.
+    FAILING = dict(num_refs=REFS, phys_mem_bytes=1 << 20)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_fail_fast_cell_is_journaled_before_it_raises(
+        self, tmp_path, jobs
+    ):
+        cfg = SimConfig(**self.FAILING)
+        path = tmp_path / "j.jsonl"
+        with pytest.raises(ReproError) as excinfo:
+            run_suite(["gups"], ["radix"], page_modes=(False,), config=cfg,
+                      jobs=jobs, journal=path, on_error="raise")
+        with RunJournal.open(path, cfg, resume=True) as journal:
+            failure = journal.failure_for("gups", "radix", False)
+        assert failure is not None, "the failing cell was not journaled"
+        assert failure.error == type(excinfo.value).__name__
+        assert failure.message == str(excinfo.value)
+        # Resuming fail-fast stops at the journaled failure.
+        with pytest.raises(ReproError, match="journaled failure"):
+            run_suite(["gups"], ["radix"], page_modes=(False,), config=cfg,
+                      jobs=jobs, journal=path, resume=True)
+
+    def test_in_process_interrupt_resumes_bit_identically(
+        self, tmp_path, monkeypatch
+    ):
+        """Ctrl-C in the second cell of a journaled one-job sweep:
+        SweepInterrupted with one cell done, then a resume equal to the
+        uninterrupted sweep, field for field."""
+        cfg = SimConfig(num_refs=REFS)
+        grid = (["gups"], ["radix", "ecpt", "lvm"])
+        uninterrupted = run_suite(*grid, page_modes=(False,), config=cfg)
+        real = runner.Simulator
+        cells = []
+
+        def interrupted_in_cell_two(*args, **kwargs):
+            cells.append(args[0])
+            if len(cells) == 2:
+                raise KeyboardInterrupt
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "Simulator", interrupted_in_cell_two)
+        path = tmp_path / "j.jsonl"
+        with pytest.raises(SweepInterrupted) as excinfo:
+            run_suite(*grid, page_modes=(False,), config=cfg, journal=path)
+        assert excinfo.value.journal_path == path
+        assert excinfo.value.completed == 1
+        assert excinfo.value.total == 3
+        monkeypatch.setattr(runner, "Simulator", real)
+        resumed = run_suite(*grid, page_modes=(False,), config=cfg,
+                            journal=path, resume=True)
+        assert not resumed.failures
+        assert [asdict(r) for r in resumed.results] == \
+            [asdict(r) for r in uninterrupted.results]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_fully_journaled_sweep_loads_nothing(
+        self, tmp_path, monkeypatch, jobs
+    ):
+        cfg = SimConfig(num_refs=REFS)
+        path = tmp_path / "j.jsonl"
+        first = run_suite(["gups"], ["radix", "lvm"], config=cfg,
+                          journal=path)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a fully journaled sweep loaded a workload")
+
+        monkeypatch.setattr(runner, "build_workload", forbidden)
+        monkeypatch.setattr(TraceCache, "get", forbidden)
+        resumed = run_suite(["gups"], ["radix", "lvm"], config=cfg,
+                            journal=path, resume=True, jobs=jobs)
+        assert [asdict(r) for r in resumed.results] == \
+            [asdict(r) for r in first.results]
 
 
 # -- the run journal ----------------------------------------------------

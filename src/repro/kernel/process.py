@@ -46,6 +46,7 @@ class Process:
         thp: bool = False,
         thp_coverage: float = 0.9,
         injector=None,
+        phys_base: int = 0,
     ):
         self.page_table = page_table
         self.allocator = allocator or BumpAllocator()
@@ -57,7 +58,8 @@ class Process:
         self.injector = injector
         self.address_space = AddressSpace()
         self.stats = ProcessStats()
-        self._next_ppn = 1 << 20  # frame numbers for data pages
+        # Data-page frame numbers, from 4 GiB above ``phys_base``.
+        self._next_ppn = phys_base // BASE_PAGE_SIZE + (1 << 20)
 
     # -- physical frames ----------------------------------------------
     def _alloc_frames(self, page_size: PageSize) -> int:

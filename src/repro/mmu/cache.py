@@ -122,8 +122,3 @@ class Cache:
 
     def mpki(self, instructions: int) -> float:
         return 1000.0 * self.misses / instructions if instructions else 0.0
-
-    def reset_stats(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.walk_misses = 0

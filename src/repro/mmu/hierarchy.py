@@ -100,14 +100,16 @@ class HierarchyConfig:
 
 
 class MemoryHierarchy:
-    """Three cache levels backed by fixed-latency DRAM."""
+    """Three cache levels backed by fixed-latency DRAM.  The cores of a
+    multicore run each build one around a shared ``l3``; the lookup
+    chains are fixed here, so the L3 cannot be swapped afterwards."""
 
-    def __init__(self, config: Optional[HierarchyConfig] = None):
+    def __init__(self, config: Optional[HierarchyConfig] = None, l3: Optional[Cache] = None):
         self.config = config or HierarchyConfig()
         c = self.config
         self.l1 = Cache("L1D", c.l1_size, c.l1_ways, c.l1_latency)
         self.l2 = Cache("L2", c.l2_size, c.l2_ways, c.l2_latency)
-        self.l3 = Cache("L3", c.l3_size, c.l3_ways, c.l3_latency)
+        self.l3 = l3 if l3 is not None else Cache("L3", c.l3_size, c.l3_ways, c.l3_latency)
         self.dram_accesses = 0
         # Hot-path constants: the lookup chains per entry point (built
         # once, not per access) and the flat DRAM miss latency.
@@ -134,22 +136,6 @@ class MemoryHierarchy:
             self._prefetch(paddr)
         return self._dram_latency
 
-    def access_info(
-        self, paddr: int, entry: str = "l1", is_walk: bool = False
-    ) -> "tuple[int, str]":
-        """Access a physical address; returns (latency, level hit)."""
-        try:
-            chain = self._chains[entry]
-        except KeyError:
-            raise ValueError(f"unknown entry level {entry!r}") from None
-        for cache in chain:
-            if cache.access(paddr, is_walk):
-                return cache.latency, cache.name
-        self.dram_accesses += 1
-        if not is_walk and self._do_prefetch and entry == "l1":
-            self._prefetch(paddr)
-        return self._dram_latency, "DRAM"
-
     def _prefetch(self, paddr: int) -> None:
         """Next-line prefetch on a demand miss: fill the following
         lines without charging latency (they arrive before use in a
@@ -166,17 +152,3 @@ class MemoryHierarchy:
     def walk_access(self, paddr: int) -> int:
         """A page-walk access, entering at the configured level."""
         return self.access(paddr, self._walker_entry, True)
-
-    def llc_would_hit(self, paddr: int) -> bool:
-        """Non-destructive LLC presence check (used by the Midgard
-        model, which translates only when the LLC misses)."""
-        return (
-            self.l1.contains(paddr)
-            or self.l2.contains(paddr)
-            or self.l3.contains(paddr)
-        )
-
-    def reset_stats(self) -> None:
-        for cache in (self.l1, self.l2, self.l3):
-            cache.reset_stats()
-        self.dram_accesses = 0

@@ -20,11 +20,13 @@ simulation stack needs to run one of them is captured here as a
   layer consult instead of matching on name strings.
 
 Descriptors are *stateless*: every hook receives the live
-:class:`~repro.sim.simulator.Simulator` (or explicit arguments) and
-stores nothing on ``self``, so a single registered instance can serve
-any number of concurrent runs — and never needs to pickle.  The
-parallel sweep ships scheme *names*, and workers resolve them through
-:mod:`repro.schemes.registry` (see the pickling notes there).
+:class:`~repro.sim.simulator.TranslationStack` (a ``Simulator``, a
+served ``Tenant`` or one core of a multicore run) or explicit
+arguments, and stores nothing on ``self``, so a single registered
+instance can serve any number of concurrent runs — and never needs
+to pickle.  The parallel sweep ships scheme *names*, and workers
+resolve them through :mod:`repro.schemes.registry` (see the pickling
+notes there).
 
 Adding a scheme means subclassing this, filling in the two factory
 hooks, and calling :func:`repro.schemes.registry.register` — see
@@ -39,7 +41,7 @@ from repro.errors import SchemeCapabilityError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (sim imports us)
     from repro.sim.results import SimResult
-    from repro.sim.simulator import Simulator
+    from repro.sim.simulator import Simulator, TranslationStack
 
 
 class SchemeDescriptor:
@@ -75,7 +77,7 @@ class SchemeDescriptor:
     wraps_allocator_under_faults: bool = False
 
     # -- construction hooks -------------------------------------------
-    def make_page_table(self, sim: "Simulator"):
+    def make_page_table(self, sim: "TranslationStack"):
         """Build and return the scheme's page-table structure.
 
         Runs before the process/VMAs exist; ``sim.allocator``,
@@ -86,7 +88,7 @@ class SchemeDescriptor:
             f"{type(self).__name__} must implement make_page_table()"
         )
 
-    def make_walker(self, sim: "Simulator"):
+    def make_walker(self, sim: "TranslationStack"):
         """Build and return the hardware walker.
 
         Runs after the address space is populated; ``sim.page_table``,
@@ -104,7 +106,7 @@ class SchemeDescriptor:
         through the TLB hierarchy, then access the data.  Midgard
         overrides this with the virtually-indexed-hierarchy loop.
         """
-        return sim.run_standard(trace)
+        return sim.run_standard(trace.vas)
 
     # -- per-scheme accounting ----------------------------------------
     def mgmt_cycles(self, sim: "Simulator") -> Tuple[float, Dict[str, float]]:

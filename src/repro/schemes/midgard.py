@@ -23,7 +23,7 @@ class MidgardScheme(RadixWalkCacheStats, SchemeDescriptor):
     def run_trace(self, sim, trace):
         # Cache hits need no translation at all; the TLB fast path is
         # bypassed and only DRAM-bound references reach the walker.
-        return sim.run_virtual_hierarchy(trace)
+        return sim.run_virtual_hierarchy(trace.vas)
 
 
 DESCRIPTOR = register(MidgardScheme())

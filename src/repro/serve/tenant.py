@@ -4,11 +4,13 @@ A :class:`Tenant` is the serving-layer analogue of one
 :class:`~repro.sim.simulator.Simulator` run, reshaped from
 "trace in, result out" into a long-lived state machine driven by
 requests: ``mmap``, ``munmap``, ``translate`` (a batch of virtual
-addresses) and ``stats``.  It owns the same stack a simulator run owns
-— scheme page table (via the scheme descriptor registry), process with
+addresses) and ``stats``.  It is a
+:class:`~repro.sim.simulator.TranslationStack` built with no VMAs —
+scheme page table (via the scheme descriptor registry), process with
 demand paging, TLB hierarchy + walker behind an
-:class:`~repro.mmu.mmu.MMU` — so the numbers it serves are the numbers
-the paper's sweeps produce.
+:class:`~repro.mmu.mmu.MMU`, built by the same code as a simulator
+run's — so the numbers it serves are the numbers the paper's sweeps
+produce.
 
 Two properties carry the serving layer's robustness story:
 
@@ -40,15 +42,11 @@ from repro.errors import (
     RecoveryExhaustedError,
     TenantQuarantinedError,
 )
-from repro.faults import FaultInjector, FaultPlan
+from repro.faults import FaultPlan
 from repro.kernel.aslr import USER_VA_BITS
-from repro.kernel.process import Process
 from repro.kernel.vma import VMA
-from repro.mem.allocator import BumpAllocator
-from repro.mmu.hierarchy import MemoryHierarchy
-from repro.mmu.mmu import MMU
-from repro.schemes import registry
 from repro.sim.config import SimConfig
+from repro.sim.simulator import TranslationStack
 from repro.types import BASE_PAGE_SHIFT, TranslationError
 
 __all__ = ["Tenant", "TenantSpec", "QUARANTINE_ERRORS"]
@@ -142,41 +140,13 @@ class TenantCounters:
     request_errors: int = 0
 
 
-class Tenant:
+class Tenant(TranslationStack):
     """One hosted address space; see the module docstring."""
 
     def __init__(self, spec: TenantSpec):
         self.spec = spec
-        descriptor = registry.get(spec.scheme)
-        self.descriptor = descriptor
-        self.scheme = descriptor.name
-        # The scheme descriptors' factory hooks read these simulator
-        # attributes; a Tenant quacks like a Simulator during setup.
-        self.config = SimConfig(thp=spec.thp)
-        self.lvm_config = None
-        self.hierarchy = MemoryHierarchy(self.config.hierarchy)
-        self.allocator = BumpAllocator()
-        plan = (
-            FaultPlan(**spec.fault_plan) if spec.fault_plan is not None else None
-        )
-        if plan is not None:
-            plan.validate()
-        self.injector: Optional[FaultInjector] = (
-            FaultInjector(plan) if plan is not None and plan.enabled else None
-        )
-        if self.injector is not None and descriptor.wraps_allocator_under_faults:
-            self.allocator = self.injector.wrap_allocator(self.allocator)
-        self.manager = None  # set by LVM's make_page_table
-        self.page_table = descriptor.make_page_table(self)
-        self.process = Process(
-            self.page_table,
-            allocator=self.allocator,
-            thp=spec.thp,
-            thp_coverage=self.config.thp_coverage,
-            injector=self.injector,
-        )
-        self.walker = descriptor.make_walker(self)
-        self.mmu = MMU(self.walker, self.config.tlb)
+        plan = FaultPlan(**spec.fault_plan) if spec.fault_plan is not None else None
+        super().__init__(spec.scheme, SimConfig(thp=spec.thp, faults=plan))
         self.counters = TenantCounters()
         self.quarantined: Optional[str] = None  # the poisoning message
         #: Sequence number of the last applied mutating op (the shard
@@ -326,12 +296,7 @@ class Tenant:
         if self.injector is not None:
             stats["faults_injected"] = self.injector.total_injected
         if self.manager is not None:
-            istats = self.manager.index.stats
-            stats["recoveries"] = (
-                istats.recovered_scans
-                + istats.recovered_retrains
-                + istats.recovered_rebuilds
-            )
+            stats["recoveries"] = self.manager.index.stats.recoveries
             stats["index_size_bytes"] = self.manager.index.index_size_bytes
         return stats
 

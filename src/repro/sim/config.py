@@ -39,6 +39,19 @@ class CoreModel:
     # latency is exposed.
     walk_stall_exposure: float = 0.85
 
+    def cycles(
+        self, instructions: int, data_stall: int, mmu_cycles: int, mgmt_cycles: float = 0.0
+    ) -> float:
+        """One core's execution cycles: base CPI over its instructions,
+        the exposed share of its data and translation stalls, and any
+        OS management work charged to it."""
+        return (
+            instructions * self.base_cpi
+            + data_stall * self.data_stall_exposure
+            + mmu_cycles * self.walk_stall_exposure
+            + mgmt_cycles
+        )
+
     def validate(self) -> None:
         if self.frequency_ghz <= 0:
             raise ConfigError(

@@ -14,18 +14,24 @@ use per-table locking and retrains are exceedingly rare.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.mmu.cache import Cache
-from repro.mmu.hierarchy import MemoryHierarchy
-from repro.mmu.mmu import MMU
 from repro.sim.config import SimConfig
 from repro.sim.results import SimResult
 from repro.sim.simulator import Simulator
+from repro.types import TranslationError
 from repro.workloads.registry import BuiltWorkload
+
+#: References each tenant runs per round before the next core's turn.
+ROUND_REFS = 256
+
+#: Physical memory per stacked tenant, from ``i * TENANT_PHYS_SPAN``: a
+#: multiple of every cache's set span, so a tenant's lines land in the
+#: same sets as in its solo run, and no two tenants share a line.
+TENANT_PHYS_SPAN = 1 << 40
 
 
 @dataclass
@@ -44,7 +50,13 @@ class LockStats:
 
 
 class MultiTenantSimulator:
-    """One workload per core, private MMUs, shared last-level cache."""
+    """One workload per core, private MMUs, shared last-level cache.
+
+    Tenant ``i`` is a :class:`Simulator` over its own workload, physical
+    memory (:data:`TENANT_PHYS_SPAN`) and trace seed (``trace_seed + i``)
+    around the first tenant's L3, so every core's L2 misses contend in
+    one LLC: a tenant's ``l3_mpki`` counts all tenants' misses in it.
+    """
 
     def __init__(
         self,
@@ -55,51 +67,27 @@ class MultiTenantSimulator:
         self.config = config or SimConfig()
         self.scheme = scheme
         self.sims: List[Simulator] = []
-        shared_l3: Optional[Cache] = None
-        for asid, workload in enumerate(workloads):
-            sim = Simulator(scheme, workload, self.config)
-            if shared_l3 is None:
-                shared_l3 = sim.hierarchy.l3
-            else:
-                # All cores contend for one L3 slice set, as stacked
-                # tenants do.
-                sim.hierarchy.l3 = shared_l3
+        shared_l3 = None
+        for i, workload in enumerate(workloads):
+            seeded = replace(self.config, trace_seed=self.config.trace_seed + i)
+            sim = Simulator(scheme, workload, seeded, l3=shared_l3, phys_base=i * TENANT_PHYS_SPAN)
+            shared_l3 = sim.hierarchy.l3
             self.sims.append(sim)
 
     def run(self, num_refs: Optional[int] = None) -> List[SimResult]:
-        """Interleave the tenants' traces round-robin through the
-        shared L3 and return per-tenant results."""
+        """Interleave the tenants' traces, :data:`ROUND_REFS`
+        references per tenant per round; one result per tenant."""
         refs = num_refs or self.config.num_refs
-        traces = [
-            sim.workload.trace(refs, self.config.trace_seed + i)
-            for i, sim in enumerate(self.sims)
-        ]
-        cursors = [0] * len(self.sims)
-        stalls = [0] * len(self.sims)
-        mmu_cycles = [0] * len(self.sims)
-        chunk = 256
-        active = True
-        while active:
-            active = False
-            for i, sim in enumerate(self.sims):
-                trace = traces[i]
-                if cursors[i] >= len(trace):
-                    continue
-                active = True
-                stop = min(cursors[i] + chunk, len(trace))
-                for va in trace[cursors[i]:stop]:
-                    va = int(va)
-                    pte, tcycles = sim.mmu.translate(va, asid=i)
-                    if pte is None:
-                        sim.process.handle_fault(va)
-                        pte, more = sim.mmu.translate(va, asid=i)
-                        tcycles += more
-                    mmu_cycles[i] += tcycles
-                    stalls[i] += sim.hierarchy.access(pte.translate(va))
-                cursors[i] = stop
+        traces = [sim._trace(refs).vas for sim in self.sims]
+        totals = [[0, 0] for _ in self.sims]
+        for start in range(0, max(map(len, traces), default=0), ROUND_REFS):
+            for sim, vas, total in zip(self.sims, traces, totals):
+                data_stall, mmu_cycles = sim.run_standard(vas[start:start + ROUND_REFS])
+                total[0] += data_stall
+                total[1] += mmu_cycles
         return [
-            sim._result(len(traces[i]), stalls[i], mmu_cycles[i])
-            for i, sim in enumerate(self.sims)
+            sim._result(len(vas), *total)
+            for sim, vas, total in zip(self.sims, traces, totals)
         ]
 
 
@@ -115,44 +103,27 @@ class MultiThreadedSimulator:
     ):
         self.config = config or SimConfig()
         self.num_threads = num_threads
-        # One simulator owns the page table and its walker state...
+        # One simulator owns the page table and process; each thread
+        # runs on a sibling core (its own L1, L2, TLBs and walker) over
+        # that table and the simulator's L3.
         self.primary = Simulator(scheme, workload, self.config)
-        # ...while each thread gets its own MMU front-end (per-core
-        # TLBs) over a per-core walker sharing the page table and L3.
-        self.mmus: List[MMU] = []
-        self.hierarchies: List[MemoryHierarchy] = []
-        shared_l3 = self.primary.hierarchy.l3
-        for _ in range(num_threads):
-            hier = MemoryHierarchy(self.config.hierarchy)
-            hier.l3 = shared_l3
-            sim_clone = Simulator.__new__(Simulator)
-            sim_clone.descriptor = self.primary.descriptor
-            sim_clone.scheme = self.primary.scheme
-            sim_clone.config = self.config
-            sim_clone.hierarchy = hier
-            sim_clone.manager = self.primary.manager
-            sim_clone.page_table = self.primary.page_table
-            walker = sim_clone.descriptor.make_walker(sim_clone)
-            self.mmus.append(MMU(walker, self.config.tlb))
-            self.hierarchies.append(hier)
+        self.cores = [self.primary.sibling() for _ in range(num_threads)]
         self.locks = LockStats()
 
     def run(self, num_refs: Optional[int] = None) -> Dict[str, float]:
         refs = num_refs or self.config.num_refs
-        trace = self.primary.workload.trace(refs, self.config.trace_seed)
-        shards = np.array_split(trace, self.num_threads)
-        per_thread_cycles = []
-        core = self.config.core
+        shards = np.array_split(self.primary._trace(refs).packed, self.num_threads)
         ipr = self.primary.workload.info.instructions_per_ref
+        fault = self.primary.process.handle_fault
+        per_thread_cycles = []
         last_table = {}
-        for tid, shard in enumerate(shards):
-            mmu = self.mmus[tid]
-            hier = self.hierarchies[tid]
+        for tid, (core, shard) in enumerate(zip(self.cores, shards)):
+            translate = core.mmu.translate
+            access = core.hierarchy.access
             stalls = 0
             mmu_cycles = 0
-            for va in shard:
-                va = int(va)
-                pte, tcycles = mmu.translate(va, asid=0)
+            for va in shard.tolist():
+                pte, tcycles = translate(va)
                 if pte is None:
                     # Concurrent fault: the table lock serializes the
                     # mapping (section 5.2, "Multi-threading").
@@ -161,17 +132,17 @@ class MultiThreadedSimulator:
                     if owner is not None and owner != tid:
                         self.locks.pte_lock_conflicts += 1
                     last_table[va >> 21] = tid
-                    self.primary.process.handle_fault(va)
-                    pte, more = mmu.translate(va, asid=0)
+                    fault(va)
+                    pte, more = translate(va)
                     tcycles += more
+                    if pte is None:
+                        raise TranslationError(f"unmappable VA {va:#x}")
                 mmu_cycles += tcycles
-                stalls += hier.access(pte.translate(va))
-            cycles = (
-                len(shard) * ipr * core.base_cpi
-                + stalls * core.data_stall_exposure
-                + mmu_cycles * core.walk_stall_exposure
+                stalls += access(pte.translate(va))
+            instructions = int(len(shard) * ipr)
+            per_thread_cycles.append(
+                self.config.core.cycles(instructions, stalls, mmu_cycles)
             )
-            per_thread_cycles.append(cycles)
         return {
             "max_thread_cycles": max(per_thread_cycles),
             "total_refs": refs,

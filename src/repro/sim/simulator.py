@@ -9,21 +9,25 @@ exactly as Figures 9-12 are produced from one set of simulations.
 Everything scheme-specific — page-table construction, walker
 construction, the trace loop, per-scheme stats — is delegated to the
 scheme's :class:`~repro.schemes.base.SchemeDescriptor`, resolved
-through :mod:`repro.schemes.registry`.  The simulator itself only
-knows the scheme-independent machinery: allocator, process, TLBs,
-cache hierarchy, and the two trace loops the descriptors choose from.
+through :mod:`repro.schemes.registry`.  :class:`TranslationStack`
+builds the scheme-independent machinery (hierarchy, allocator,
+process, TLBs) for a :class:`Simulator` run, a served tenant and each
+core of the section 7.1 runs; :class:`Simulator` adds the trace loops.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import copy
+from typing import List, Optional, Sequence
 
 from repro.core.config import LVMConfig
 from repro.faults import FaultInjector
 from repro.kernel.manager import LVMManager
 from repro.kernel.process import Process
+from repro.kernel.vma import VMA
 from repro.mem.allocator import BumpAllocator
 from repro.mem.buddy import BuddyAllocator
+from repro.mmu.cache import Cache
 from repro.mmu.hierarchy import MemoryHierarchy
 from repro.mmu.mmu import MMU
 from repro.schemes import registry
@@ -35,37 +39,49 @@ from repro.workloads.registry import BuiltWorkload
 from repro.workloads.trace_cache import cache_for_config
 
 
-class Simulator:
-    """One (workload, scheme, page-size) simulation.
+class TranslationStack:
+    """One core's translation machine over one address space.
+
+    Built in this order: the cache hierarchy (around ``l3`` when the
+    cores of a multicore run share one), the fault injector from
+    ``config.faults``, the allocator, the scheme's page table, the
+    process, the given ``vmas`` (inside the manager's batch bracket, so
+    LVM builds its index once), the walker and the MMU.  The scheme
+    descriptor's ``make_page_table`` and ``make_walker`` hooks receive
+    the stack, so run-specific state they need belongs on it.  Its
+    physical memory starts at ``phys_base`` (the default allocator's
+    page tables 1 GiB above it, data frames 4 GiB); stacked tenants
+    each take their own.
 
     ``scheme`` may be a registered scheme name (or alias) or a
     :class:`~repro.schemes.base.SchemeDescriptor` instance; unknown
     names raise :class:`~repro.errors.UnknownSchemeError` before any
-    simulation state is built.
+    state is built.
     """
 
     def __init__(
         self,
         scheme,
-        workload: BuiltWorkload,
         config: Optional[SimConfig] = None,
+        vmas: Sequence[VMA] = (),
         lvm_config: Optional[LVMConfig] = None,
         allocator=None,
+        l3: Optional[Cache] = None,
+        phys_base: int = 0,
     ):
         self.descriptor = registry.get(scheme)
         self.scheme = self.descriptor.name
-        self.workload = workload
         self.config = config or SimConfig()
         self.config.validate()
         self.lvm_config = lvm_config
-        self.hierarchy = MemoryHierarchy(self.config.hierarchy)
+        self.phys_base = phys_base
+        self.hierarchy = MemoryHierarchy(self.config.hierarchy, l3)
         # An all-zero (or absent) plan builds no injector at all, so
         # fault-free runs stay bit-identical to the pre-injector code.
         plan = self.config.faults
         self.injector: Optional[FaultInjector] = (
             FaultInjector(plan) if plan is not None and plan.enabled else None
         )
-        self.incorrect_translations = 0
         # ``allocator`` lets the fragmentation studies (sections 7.3,
         # 7.5.3) back the page tables with a pre-fragmented buddy.
         self.allocator = allocator if allocator is not None else self._make_allocator()
@@ -81,23 +97,49 @@ class Simulator:
             thp=self.config.thp,
             thp_coverage=self.config.thp_coverage,
             injector=self.injector,
+            phys_base=phys_base,
         )
-        self._populate()
+        if self.manager is not None:
+            self.manager.begin_batch()
+        self.process.mmap_all(vmas)
+        if self.manager is not None:
+            self.manager.end_batch()
         self.walker = self.descriptor.make_walker(self)
         self.mmu = MMU(self.walker, self.config.tlb)
 
-    # -- setup -----------------------------------------------------------
     def _make_allocator(self):
         if self.config.phys_mem_bytes is None:
-            return BumpAllocator()
-        return BuddyAllocator(self.config.phys_mem_bytes)
+            return BumpAllocator(base=self.phys_base + (1 << 30))
+        return BuddyAllocator(self.config.phys_mem_bytes, base_paddr=self.phys_base)
 
-    def _populate(self) -> None:
-        if self.manager is not None:
-            self.manager.begin_batch()
-        self.process.mmap_all(self.workload.vmas)
-        if self.manager is not None:
-            self.manager.end_batch()
+    def sibling(self) -> "TranslationStack":
+        """Another core over this stack's address space: the same page
+        table, process, manager and injector, with its own L1, L2,
+        TLBs and walker in front of this stack's L3."""
+        core = copy.copy(self)
+        core.hierarchy = MemoryHierarchy(self.config.hierarchy, self.hierarchy.l3)
+        core.walker = self.descriptor.make_walker(core)
+        core.mmu = MMU(core.walker, self.config.tlb)
+        return core
+
+
+class Simulator(TranslationStack):
+    """One (workload, scheme, page-size) simulation: a translation
+    stack over the workload's VMAs, driven by its reference trace."""
+
+    def __init__(
+        self,
+        scheme,
+        workload: BuiltWorkload,
+        config: Optional[SimConfig] = None,
+        lvm_config: Optional[LVMConfig] = None,
+        allocator=None,
+        l3: Optional[Cache] = None,
+        phys_base: int = 0,
+    ):
+        self.workload = workload
+        self.incorrect_translations = 0
+        super().__init__(scheme, config, workload.vmas, lvm_config, allocator, l3, phys_base)
 
     # -- the run -----------------------------------------------------------
     def run(self, num_refs: Optional[int] = None) -> SimResult:
@@ -114,9 +156,11 @@ class Simulator:
             cache=cache_for_config(self.config),
         )
 
-    def run_standard(self, trace: CompiledTrace) -> "tuple[int, int]":
-        """The default trace loop: every reference is translated through
-        the TLB hierarchy, then accesses the data hierarchy."""
+    def run_standard(self, vas: List[int]) -> "tuple[int, int]":
+        """The default trace loop: every reference in ``vas`` is
+        translated through the TLB hierarchy, then accesses the data
+        hierarchy.  Returns (data_stall, mmu_cycles) for these
+        references; a multicore run calls it once per round."""
         translate = self.mmu.translate
         access = self.hierarchy.access
         fault = self.process.handle_fault
@@ -124,7 +168,7 @@ class Simulator:
         verify = self.config.verify_translations
         data_stall = 0
         mmu_cycles = 0
-        for va in trace.vas:
+        for va in vas:
             if injector is not None:
                 injector.on_reference(self)
             pte, tcycles = translate(va)
@@ -154,20 +198,21 @@ class Simulator:
         ):
             self.incorrect_translations += 1
 
-    def run_virtual_hierarchy(self, trace: CompiledTrace) -> "tuple[int, int]":
+    def run_virtual_hierarchy(self, vas: List[int]) -> "tuple[int, int]":
         """Midgard's trace loop (section 7.5.2): the cache hierarchy is
         indexed by intermediate (virtual) addresses, so hits need no
         translation; only LLC misses walk the page table."""
-        access_info = self.hierarchy.access_info
+        hierarchy = self.hierarchy
+        access = hierarchy.access
         injector = self.injector
         data_stall = 0
         mmu_cycles = 0
-        for va in trace.vas:
+        for va in vas:
             if injector is not None:
                 injector.on_reference(self)
-            latency, level = access_info(va, entry="l1")
-            data_stall += latency
-            if level == "DRAM":
+            dram_before = hierarchy.dram_accesses
+            data_stall += access(va)
+            if hierarchy.dram_accesses != dram_before:
                 outcome = self.walker.walk(va >> 12)
                 mmu_cycles += outcome.cycles
                 self.mmu.stats.walks += 1
@@ -177,14 +222,10 @@ class Simulator:
 
     # -- accounting ----------------------------------------------------
     def _result(self, refs: int, data_stall: int, mmu_cycles: int) -> SimResult:
-        core = self.config.core
         instructions = int(refs * self.workload.info.instructions_per_ref)
         mgmt_cycles, mgmt_detail = self.descriptor.mgmt_cycles(self)
-        cycles = (
-            instructions * core.base_cpi
-            + data_stall * core.data_stall_exposure
-            + mmu_cycles * core.walk_stall_exposure
-            + mgmt_cycles
+        cycles = self.config.core.cycles(
+            instructions, data_stall, mmu_cycles, mgmt_cycles
         )
         stats = self.mmu.stats
         result = SimResult(

@@ -96,17 +96,10 @@ class BuiltWorkload:
     # cache (an unkeyed entry could alias a real one).
     scale: Optional[int] = None
     seed: Optional[int] = None
-    # (num_refs, seed) -> generated trace.  One BuiltWorkload is shared
-    # by every (scheme, thp) run of a sweep, and the generators are
-    # pure functions of (num_refs, seed), so the 8+ runs per workload
-    # regenerate identical arrays — memoize instead.  The instance is
-    # already keyed by (name, scale, workload seed) at build time,
-    # completing the cache key.
-    _trace_cache: Dict[tuple, np.ndarray] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    # (num_refs, seed) -> CompiledTrace: the packed-array counterpart,
-    # shared by every run of a sweep (see repro/workloads/compile.py).
+    # (num_refs, seed) -> CompiledTrace, shared by every (scheme, thp)
+    # run of a sweep (see repro/workloads/compile.py).  The generators
+    # are pure functions of (num_refs, seed), and the instance is keyed
+    # by (name, scale, workload seed) at build time, completing the key.
     _packed_cache: Dict[tuple, object] = field(
         default_factory=dict, repr=False, compare=False
     )
@@ -116,17 +109,11 @@ class BuiltWorkload:
         return self.space.vmas
 
     def trace(self, num_refs: int, seed: int = 0) -> np.ndarray:
+        """A freshly generated raw trace; runs read the memoized packed
+        copy through :func:`~repro.workloads.compile.compiled_trace_for`."""
         if self.trace_fn is None:
             raise ValueError(f"{self.info.name} has no trace generator")
-        key = (num_refs, seed)
-        cached = self._trace_cache.get(key)
-        if cached is None:
-            cached = self.trace_fn(num_refs, seed)
-            # Consumers only read traces; freeze the shared array so an
-            # accidental in-place edit cannot poison later runs.
-            cached.setflags(write=False)
-            self._trace_cache[key] = cached
-        return cached
+        return self.trace_fn(num_refs, seed)
 
 
 # ---------------------------------------------------------------------------

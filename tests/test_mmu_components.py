@@ -130,14 +130,6 @@ class TestHierarchy:
                 continue
             assert getattr(cfg, f.name) == getattr(base, f.name), f.name
 
-    def test_llc_would_hit_nondestructive(self):
-        h = MemoryHierarchy(HierarchyConfig(prefetch_degree=0))
-        assert not h.llc_would_hit(0x9000)
-        h.access(0x9000)
-        misses_before = h.l1.misses
-        assert h.llc_would_hit(0x9000)
-        assert h.l1.misses == misses_before
-
 
 class TestTLB:
     def test_array_hit_miss(self):

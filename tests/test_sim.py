@@ -144,3 +144,49 @@ class TestMulticore:
         out = sim.run()
         assert out["max_thread_cycles"] > 0
         assert 0.0 <= out["lock_conflict_rate"] <= 1.0
+
+    def test_stacked_tenants_share_one_l3(self, gups):
+        """Every tenant's L2 misses go to the one shared L3."""
+        dc = build_workload("dc", scale=256)
+        sim = MultiTenantSimulator("lvm", [gups, dc], SimConfig(num_refs=2000))
+        sim.run()
+        shared = sim.sims[0].hierarchy.l3
+        l2_misses = [s.hierarchy.l2.misses for s in sim.sims]
+        assert all(l2_misses)
+        assert shared.accesses == sum(l2_misses)
+
+    def test_stacked_tenants_never_share_a_line(self):
+        """Tenants own disjoint physical memory.  Under LRU, with no
+        prefetch, another tenant's lines can only evict a tenant's own,
+        so the shared L3 hits at most as often as the solo runs did
+        together.  Two tenants of one workload at the same physical
+        addresses would hit on each other's lines and break this."""
+        dc = build_workload("dc", scale=256)
+        config = SimConfig(num_refs=2000)
+        config.hierarchy = dataclasses.replace(config.hierarchy, prefetch_degree=0)
+        stacked = MultiTenantSimulator("lvm", [dc, dc], config)
+        stacked.run()
+        solo_hits = 0
+        for i in range(2):
+            solo = Simulator(
+                "lvm", dc,
+                dataclasses.replace(config, trace_seed=config.trace_seed + i),
+            )
+            solo.run()
+            solo_hits += solo.hierarchy.l3.hits
+        assert solo_hits > 0
+        assert stacked.sims[0].hierarchy.l3.hits <= solo_hits
+
+    def test_threads_share_one_l3(self):
+        """Every thread's L2 misses go to the primary's L3."""
+        dc = build_workload("dc", scale=256)
+        sim = MultiThreadedSimulator(
+            "lvm", dc, num_threads=4, config=SimConfig(num_refs=2000)
+        )
+        sim.run()
+        hierarchies = [sim.primary.hierarchy] + [c.hierarchy for c in sim.cores]
+        assert sim.primary.hierarchy.l3.accesses == sum(
+            h.l2.misses for h in hierarchies
+        )
+        assert all(c.page_table is sim.primary.page_table for c in sim.cores)
+        assert all(c.mmu is not sim.primary.mmu for c in sim.cores)

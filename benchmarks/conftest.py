@@ -6,8 +6,8 @@ pytest session and is shared by every figure bench.
 
 Environment knobs:
 
-* ``REPRO_REFS``       — trace length per run (default 20000; the
-  EXPERIMENTS.md numbers use 50000).
+* ``REPRO_REFS``       — trace length per run (default 20000, the
+  length EXPERIMENTS.md quotes its measured numbers at).
 * ``REPRO_WORKLOADS``  — comma-separated subset of the suite.
 """
 

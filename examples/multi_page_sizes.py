@@ -53,8 +53,10 @@ def main() -> None:
     # A hypothetical 64 KB page = 16 base pages.  Nothing in the index
     # knows about it; it is just mappings whose covers() span 16 VPNs
     # and a leaf whose slope is ~1/16.
-    class Size64K:
-        value = 64 << 10
+    # Duck-typed page size: like a PageSize member, an int holding the
+    # byte count (what the entry's integrity tag and the index read),
+    # with the 4 KB page count and the size field.
+    class Size64K(int):
         pages_4k = 16
         name = "SIZE_64K"
 
@@ -62,14 +64,13 @@ def main() -> None:
         def encode():
             return 3
 
+    size_64k = Size64K(64 << 10)
     odd_index = LearnedIndex(BumpAllocator())
-    odd = []
     base = 1 << 20
-    for i in range(256):
-        pte = PTE(vpn=base + 16 * i, ppn=0x200000 + i)
-        # Duck-typed page size: the index only uses pages_4k/covers.
-        pte.page_size = Size64K  # type: ignore[assignment]
-        odd.append(pte)
+    odd = [
+        PTE(vpn=base + 16 * i, ppn=0x200000 + i, page_size=size_64k)  # type: ignore[arg-type]
+        for i in range(256)
+    ]
     odd_index.bulk_build(odd)
     walk = odd_index.lookup(base + 16 * 100 + 9)
     assert walk.hit and walk.pte is odd[100]

@@ -79,6 +79,9 @@ class LeafPlan:
     max_window: int  # worst-case slots between a query's
     # prediction and its entry (incl. huge-page interiors)
     within_error_bound: bool
+    # ``model``'s slot for each key the plan was made over, in key
+    # order: what the leaf's entries are placed from.
+    predictions: np.ndarray
 
     @property
     def table_bytes(self) -> int:
@@ -106,7 +109,8 @@ def plan_leaf(
     n = len(eff_keys)
     if n == 0:
         return LeafPlan(
-            LinearModel(0, 0), 0, 8, 0.0, 0.0, 0, within_error_bound=True
+            LinearModel(0, 0), 0, 8, 0.0, 0.0, 0, within_error_bound=True,
+            predictions=np.zeros(0, dtype=np.int64),
         )
     spans = eff_ends - eff_keys
     # A leaf is "large-page only" when its typical mapping spans more
@@ -183,7 +187,8 @@ def plan_leaf(
     space_ok = num_slots <= config.ga_scale * n * 4 + 8 * config.slots_per_line
     within = max_window <= config.max_leaf_error_slots and space_ok
     return LeafPlan(
-        model, n, num_slots, collision_rate, avg_extra, max_window, within
+        model, n, num_slots, collision_rate, avg_extra, max_window, within,
+        predicted,
     )
 
 
@@ -294,7 +299,7 @@ def choose_branching(
     n_floor = 2
     if not fits_contiguity and max_table_bytes > 0:
         n_floor = max(n_floor, -(-leaf_plan.table_bytes // max_table_bytes))
-    seed = num_segments(eff_keys.tolist(), config.spline_max_error)
+    seed = num_segments(eff_keys, config.spline_max_error)
     # Candidates: the paper's ±2 around the spline estimate, plus a
     # geometric ladder in both directions.  Upward matters when
     # segments are skewed within the key range (even division only

@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from repro.errors import ReproError
 from repro.types import PTE, CACHE_LINE_SIZE, PTE_SIZE
 
@@ -124,6 +126,35 @@ class GappedPageTable:
         raise GPTFullError(
             f"no free slot within {max_displacement} of predicted {predicted}"
         )
+
+    def place(self, predictions: np.ndarray, ptes, max_displacement: int) -> None:
+        """:meth:`insert` ``ptes[i]`` at ``predictions[i]`` for each i in
+        order, leaving the same slots, ``occupied`` and
+        ``max_displacement`` (and, on :class:`GPTFullError`, the same
+        partial placement).
+
+        A leaf's one placement routine, for builds and retrains.  Into
+        an empty table, predictions that rise strictly inside the table
+        put every entry straight at its predicted slot, which is where
+        each insert would have put it; anything else runs the insert's
+        bounded search, entry by entry.
+        """
+        slots = self._slots
+        count = len(predictions)
+        if (
+            not self.occupied
+            and count
+            and 0 <= predictions[0]
+            and predictions[-1] < len(slots)
+            and bool((predictions[1:] > predictions[:-1]).all())
+        ):
+            for slot, pte in zip(predictions.tolist(), ptes):
+                slots[slot] = pte
+            self.occupied = count
+            return
+        insert = self.insert
+        for predicted, pte in zip(predictions.tolist(), ptes):
+            insert(predicted, pte, max_displacement)
 
     def bulk_place(self, predictions, ptes) -> None:
         """Place sorted entries by rightward packing: entry i goes to

@@ -18,16 +18,17 @@ from __future__ import annotations
 import time
 from bisect import insort
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.config import LVMConfig
-from repro.core.cost_model import choose_branching, plan_leaf
+from repro.core.cost_model import LeafPlan, choose_branching, plan_leaf
 from repro.core.fixed_point import MODEL_BYTES
 from repro.core.gapped_page_table import GappedPageTable, GPTFullError
 from repro.core.linear_model import fit_even_division
-from repro.core.rebase import IdentityRebaser
+from repro.core.rebase import AddressSpaceRebaser, IdentityRebaser, cluster_regions
 from repro.core.nodes import (
     InternalNode,
     LeafNode,
@@ -39,7 +40,16 @@ from repro.core.nodes import (
 )
 from repro.errors import DuplicateMappingError, RecoveryExhaustedError
 from repro.mem.allocator import BumpAllocator, OutOfPhysicalMemory, PhysicalAllocator
-from repro.types import PTE, PTE_SIZE, TranslationError
+from repro.types import BASE_PAGE_SHIFT, PTE, PTE_SIZE, TranslationError
+
+_VPN = attrgetter("vpn")
+_PAGE_SIZE = attrgetter("page_size")
+
+
+def _page_counts(ptes: List[PTE]) -> np.ndarray:
+    """Each mapping's span in 4 KB pages, as an int64 column."""
+    sizes = np.fromiter(map(_PAGE_SIZE, ptes), dtype=np.int64, count=len(ptes))
+    return sizes >> BASE_PAGE_SHIFT
 
 
 @dataclass
@@ -152,23 +162,34 @@ class LearnedIndex:
     # ------------------------------------------------------------------
     # Construction and training (sections 4.3.1 / 4.3.2)
     # ------------------------------------------------------------------
-    def bulk_build(self, ptes: Iterable[PTE]) -> None:
+    def bulk_build(self, ptes: Iterable[PTE], program_rebaser: bool = False) -> None:
         """Initialize the index over an existing set of mappings.
 
         The OS calls this when mapping the first page(s) of a process
-        (section 4.3.1).
+        (section 4.3.1).  The mappings are sorted and checked for
+        duplicate VPNs once; with ``program_rebaser`` the ASLR rebase
+        registers are then programmed from the same sorted mappings
+        (section 5.2): they are clustered into regions and packed into
+        a compact canonical space, so the Q44.20 models stay
+        well-conditioned regardless of randomization.
         """
-        self._mappings = {}
-        for pte in ptes:
-            if pte.vpn in self._mappings:
-                raise DuplicateMappingError(
-                    f"duplicate mapping for VPN {pte.vpn:#x}"
-                )
-            self._mappings[pte.vpn] = pte
-        self._sorted_vpns = sorted(self._mappings)
-        self._rebuild(initial=True)
+        ordered = sorted(ptes, key=_VPN)
+        vpns = list(map(_VPN, ordered))
+        mappings = dict(zip(vpns, ordered))
+        if len(mappings) < len(ordered):
+            dup = next(v for v, w in zip(vpns, vpns[1:]) if v == w)
+            raise DuplicateMappingError(f"duplicate mapping for VPN {dup:#x}")
+        self._mappings = mappings
+        self._sorted_vpns = vpns
+        columns = (ordered, np.array(vpns, dtype=np.int64), _page_counts(ordered))
+        if program_rebaser and ordered:
+            self.rebaser = AddressSpaceRebaser(cluster_regions(*columns[1:]))
+        self._rebuild(initial=True, columns=columns)
 
-    def _rebuild(self, initial: bool = False) -> None:
+    def _rebuild(self, initial: bool = False, columns=None) -> None:
+        """Train the whole index over the current mappings.  ``columns``
+        is (PTEs, VPN column, span column) in VPN order, when the
+        caller already has them."""
         start = time.perf_counter()
         self._release_structures()
         if not self._mappings:
@@ -176,16 +197,13 @@ class LearnedIndex:
             self.level_bases = []
             self.level_counts = []
             return
-        rebase = self.rebaser.rebase
-        vpns = np.array([rebase(v) for v in self._sorted_vpns], dtype=np.int64)
-        ends = np.array(
-            [
-                rebase(v) + self._mappings[v].page_size.pages_4k
-                for v in self._sorted_vpns
-            ],
-            dtype=np.int64,
-        )
-        ptes = [self._mappings[v] for v in self._sorted_vpns]
+        if columns is None:
+            ptes = list(map(self._mappings.__getitem__, self._sorted_vpns))
+            columns = (ptes, np.array(self._sorted_vpns, dtype=np.int64), _page_counts(ptes))
+        ptes, real_vpns, pages = columns
+        # One rebase over the whole sorted key column (section 5.2).
+        vpns = self.rebaser.rebase_array(real_vpns)
+        ends = vpns + pages
         lo = int(vpns[0])
         hi = int(ends[-1])
         compact_span = getattr(self.rebaser, "compact_span", None)
@@ -237,7 +255,7 @@ class LearnedIndex:
                     if not decision.make_leaf:
                         break
         if decision.make_leaf:
-            return self._build_leaf(eff_keys, eff_ends, ptes, lo, hi, depth)
+            return self._build_leaf(decision.leaf_plan, eff_keys, ptes, lo, hi, depth)
         # Build the subtree; if a descendant leaf could not satisfy the
         # error bound (typically a child straddling a density boundary,
         # forced into a leaf at the depth limit), go back to *this*
@@ -280,14 +298,15 @@ class LearnedIndex:
 
     def _build_leaf(
         self,
+        plan: LeafPlan,
         eff_keys: np.ndarray,
-        eff_ends: np.ndarray,
         ptes: List[PTE],
         lo: int,
         hi: int,
         depth: int,
     ) -> LeafNode:
-        plan = plan_leaf(eff_keys, eff_ends, self.config)
+        """A leaf over ``eff_keys`` from the plan the cost model made
+        for those keys."""
         if not plan.within_error_bound:
             self.stats.error_bound_violations += 1
         table = self._alloc_table(plan.num_slots)
@@ -304,34 +323,35 @@ class LearnedIndex:
         # bound.  Leaves forced *past* the bound (depth limit reached
         # on a pathological key set) are packed instead.
         if not plan.within_error_bound:
-            self._pack_degraded(leaf, eff_keys, ptes)
+            self._pack_degraded(leaf, plan.predictions, ptes)
             return leaf
         cap = max(self.config.max_leaf_error_slots, plan.max_window)
         cap += self.config.slots_per_line
         try:
-            for eff_key, pte in zip(eff_keys.tolist(), ptes):
-                predicted = leaf.model.predict(eff_key)
-                table.insert(predicted, pte, cap)
+            table.place(plan.predictions, ptes, cap)
         except GPTFullError:
             # The plan's collision estimate missed a local pile-up
             # (clustered collisions cascade farther than the per-slot
             # estimate): pack instead, and count the violation.
             self.stats.error_bound_violations += 1
-            self._pack_degraded(leaf, eff_keys, ptes)
+            self._pack_degraded(leaf, plan.predictions, ptes)
         return leaf
 
     @staticmethod
-    def _pack_degraded(leaf: LeafNode, eff_keys: np.ndarray, ptes: List[PTE]) -> None:
+    def _pack_degraded(
+        leaf: LeafNode, predictions: np.ndarray, ptes: List[PTE]
+    ) -> None:
         """Place a degraded leaf's entries by rightward packing in key
         order, O(n): its widened search window plus the bounded binary
         search keep lookups correct and logarithmic.  Predictions so
         skewed that packing runs off the end of the table pack from
-        slot 0 instead; the tracked displacement widens the window."""
+        slot 0 instead; the tracked displacement widens the window.
+        ``predictions`` are the leaf model's slots for the entries."""
         leaf.degraded = True
         leaf.sorted_layout = True
         table = leaf.table
         table.clear()
-        predictions = [leaf.model.predict(k) for k in eff_keys.tolist()]
+        predictions = predictions.tolist()
         try:
             table.bulk_place(predictions, ptes)
         except GPTFullError:
@@ -716,17 +736,11 @@ class LearnedIndex:
         return node
 
     def _rebased_eff_arrays(self, leaf: LeafNode, entries: List[PTE]):
-        rebase = self.rebaser.rebase
-        eff_keys = np.array(
-            [max(rebase(p.vpn), leaf.lo) for p in entries], dtype=np.int64
+        keys = self.rebaser.rebase_array(
+            np.fromiter(map(_VPN, entries), dtype=np.int64, count=len(entries))
         )
-        eff_ends = np.array(
-            [
-                min(rebase(p.vpn) + p.page_size.pages_4k, leaf.hi)
-                for p in entries
-            ],
-            dtype=np.int64,
-        )
+        eff_keys = np.maximum(keys, leaf.lo)
+        eff_ends = np.minimum(keys + _page_counts(entries), leaf.hi)
         return eff_keys, eff_ends
 
     def _leaf_entries(self, leaf: LeafNode) -> List[PTE]:
@@ -815,8 +829,7 @@ class LearnedIndex:
             + self.config.slots_per_line
         )
         try:
-            for eff_key, pte in zip(eff_keys.tolist(), entries):
-                leaf.table.insert(leaf.model.predict(eff_key), pte, cap)
+            leaf.table.place(plan.predictions, entries, cap)
         except GPTFullError:
             return False
         finally:

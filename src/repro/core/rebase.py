@@ -21,12 +21,17 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
+import numpy as np
+
 
 class IdentityRebaser:
     """No-op rebaser for compact address spaces and unit tests."""
 
     def rebase(self, vpn: int) -> int:
         return vpn
+
+    def rebase_array(self, vpns: np.ndarray) -> np.ndarray:
+        return vpns
 
     def in_headroom(self, vpn: int) -> bool:
         return True
@@ -87,6 +92,12 @@ class AddressSpaceRebaser:
             )
             prev_end = start + span - 1
         self._starts = [r.start_vpn for r in self.regions]
+        # Column views of the regions for :meth:`rebase_array`.
+        self._start_col = np.array(self._starts, dtype=np.int64)
+        self._last_col = np.array([r.alloc - 1 for r in self.regions], dtype=np.int64)
+        self._base_col = np.array(
+            [r.compact_base for r in self.regions], dtype=np.int64
+        )
 
     def _region_index(self, vpn: int) -> int:
         return bisect_right(self._starts, vpn) - 1
@@ -107,6 +118,17 @@ class AddressSpaceRebaser:
         if offset >= region.alloc:
             offset = region.alloc - 1
         return region.compact_base + offset
+
+    def rebase_array(self, vpns: np.ndarray) -> np.ndarray:
+        """:meth:`rebase` over an int64 VPN column: one ``searchsorted``
+        over the region starts, the same clamp.  VPNs stay below 2**35
+        (47-bit VAs), so no intermediate can wrap int64."""
+        idx = np.searchsorted(self._start_col, vpns, side="right") - 1
+        region = np.maximum(idx, 0)
+        offset = np.minimum(vpns - self._start_col[region], self._last_col[region])
+        return np.where(
+            idx < 0, vpns - self._start_col[0], self._base_col[region] + offset
+        )
 
     def in_headroom(self, vpn: int) -> bool:
         """Whether a new mapping at ``vpn`` fits the reserved compact
@@ -147,22 +169,20 @@ def cluster_regions(
     fixed number of rebase registers), the smallest gaps are merged
     first.
     """
-    if not sorted_vpns:
+    starts = np.asarray(sorted_vpns, dtype=np.int64)
+    if not len(starts):
         return []
-    breaks: List[int] = []  # indexes where a new region starts
-    gaps: List[Tuple[int, int]] = []  # (gap size, break index position)
-    for i in range(1, len(sorted_vpns)):
-        gap = sorted_vpns[i] - (sorted_vpns[i - 1] + spans[i - 1])
-        if gap > gap_threshold:
-            gaps.append((gap, i))
-    # Keep only the largest max_regions-1 breaks.
-    gaps.sort(reverse=True)
+    ends = starts + np.asarray(spans, dtype=np.int64)
+    gap = starts[1:] - ends[:-1]
+    at = np.flatnonzero(gap > gap_threshold)
+    # (gap size, index where the new region starts), largest first;
+    # keep only the largest max_regions-1 breaks.
+    gaps = sorted(zip(gap[at].tolist(), (at + 1).tolist()), reverse=True)
     breaks = sorted(i for _, i in gaps[: max_regions - 1])
     regions: List[Tuple[int, int]] = []
     start_idx = 0
-    for brk in breaks + [len(sorted_vpns)]:
-        first = sorted_vpns[start_idx]
-        last_end = sorted_vpns[brk - 1] + spans[brk - 1]
-        regions.append((first, last_end - first))
+    for brk in breaks + [len(starts)]:
+        first = int(starts[start_idx])
+        regions.append((first, int(ends[brk - 1]) - first))
         start_idx = brk
     return regions

@@ -17,7 +17,6 @@ from typing import List, Optional
 
 from repro.core.config import LVMConfig
 from repro.core.learned_index import LearnedIndex
-from repro.core.rebase import AddressSpaceRebaser, cluster_regions
 from repro.errors import DuplicateMappingError
 from repro.mem.allocator import PhysicalAllocator
 from repro.types import PTE, TranslationError
@@ -64,25 +63,11 @@ class LVMManager:
     def end_batch(self) -> None:
         self._batching = False
         if self._batched:
-            existing = self.index.mappings()
-            self._rebuild_rebaser(existing + self._batched)
-            self.index.bulk_build(existing + self._batched)
+            self.index.bulk_build(
+                self.index.mappings() + self._batched, program_rebaser=True
+            )
             self._batched = []
             self._batched_vpns = set()
-
-    def _rebuild_rebaser(self, ptes: List[PTE]) -> None:
-        """Program the ASLR rebase registers from the current segment
-        layout (section 5.2): cluster mappings into regions and pack
-        them into a compact canonical space so the Q44.20 models stay
-        well-conditioned regardless of randomization."""
-        ordered = sorted(ptes, key=lambda p: p.vpn)
-        if not ordered:
-            return
-        regions = cluster_regions(
-            [p.vpn for p in ordered],
-            [p.page_size.pages_4k for p in ordered],
-        )
-        self.index.rebaser = AddressSpaceRebaser(regions)
 
     # -- PageTable interface ---------------------------------------------
     def map(self, pte: PTE) -> None:
@@ -103,9 +88,9 @@ class LVMManager:
             # New segment outside every rebased region: reprogram the
             # rebase registers and rebuild (rare; program start-up or a
             # fresh far mmap arena).
-            all_ptes = self.index.mappings() + [pte]
-            self._rebuild_rebaser(all_ptes)
-            self.index.bulk_build(all_ptes)
+            self.index.bulk_build(
+                self.index.mappings() + [pte], program_rebaser=True
+            )
             self.index.stats.full_rebuilds += 1
             self.index.stats.lwc_flushes += 1
             return
@@ -121,7 +106,10 @@ class LVMManager:
             if (
                 len(vpns) == len(ptes)
                 and vpns.isdisjoint(self._batched_vpns)
-                and not any(map(self.index.contains, vpns))
+                and not (
+                    self.index.num_mappings
+                    and any(map(self.index.contains, vpns))
+                )
             ):
                 self._batched.extend(ptes)
                 self._batched_vpns |= vpns

@@ -18,7 +18,6 @@ in the original ECPT design's gradual-rehash window.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
 from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -45,6 +44,11 @@ PMD_REGION_PAGES = 512
 PUD_REGION_PAGES = 512 * 512
 CWT_ENTRY_BYTES = 8
 
+
+_VPN = attrgetter("vpn")
+_PAGE_SIZE = attrgetter("page_size")
+#: Page size by its byte count (cheaper than calling the enum).
+_PAGE_SIZES = {int(size): size for size in PageSize}
 
 _WAY_SEEDS = (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 0xD6E8FEB86659FD93)
 
@@ -74,21 +78,39 @@ def _way_hash_column(keys: np.ndarray, way: int) -> np.ndarray:
     return x ^ (x >> np.uint64(31))
 
 
+def _runs(*columns: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(first, stop) indexes of the maximal runs over which every one
+    of the equal-length, non-empty ``columns`` holds one value."""
+    changed = np.zeros(len(columns[0]) - 1, dtype=bool)
+    for column in columns:
+        changed |= column[1:] != column[:-1]
+    cuts = np.flatnonzero(changed) + 1
+    return np.concatenate(([0], cuts)), np.concatenate((cuts, [len(columns[0])]))
+
+
 class _SlotColumns:
     """Each batch item's slot in every way, at one capacity: what a bulk
     insert reads in place of calling :func:`_way_hash`.  Items are
-    positions in the batch; the 64-bit hashes are computed once and
-    reduced modulo the capacity again after each resize."""
+    positions in the batch; the 64-bit hashes are computed once and,
+    after each resize, reduced modulo the new capacity.
 
-    def __init__(self, keys: np.ndarray, ways: int):
+    Only the positions a capacity can hold are reduced.  Positions go
+    in in order, and position ``p`` goes in only while ``p + 1 <=
+    max_load * capacity * ways`` (every table slot holds a lower one),
+    so no position above that load limit is read at that capacity."""
+
+    def __init__(self, keys: np.ndarray, ways: int, max_load: float):
         self._hashes = [_way_hash_column(keys, w) for w in range(ways)]
+        self._ways = ways
+        self._max_load = max_load
         self._capacity = 0
         self._columns: List[List[int]] = []
 
     def at(self, capacity: int) -> List[List[int]]:
         if capacity != self._capacity:
+            held = int(self._max_load * capacity * self._ways) + 1
             modulus = np.uint64(capacity)
-            self._columns = [(h % modulus).tolist() for h in self._hashes]
+            self._columns = [(h[:held] % modulus).tolist() for h in self._hashes]
             self._capacity = capacity
         return self._columns
 
@@ -355,34 +377,49 @@ class ECPT:
         computed once with NumPy.  Duplicates are found up front with a
         set of keys: every live entry sits in one of its probe slots,
         so the set answers what :meth:`map`'s lookup would."""
-        batches: Dict[PageSize, List[PTE]] = {}
-        for pte in ptes:
-            batches.setdefault(pte.page_size, []).append(pte)
+        if not ptes:
+            return
+        # VPNs stay below 2**35 and page sizes below 2**31: int64 columns.
+        vpns = np.fromiter(map(_VPN, ptes), dtype=np.int64, count=len(ptes))
+        sizes = np.fromiter(map(_PAGE_SIZE, ptes), dtype=np.int64, count=len(ptes))
+        firsts, stops = _runs(sizes)
+        # (page size, entries) of each run of one page size, in PTE order.
+        size_runs = [
+            (_PAGE_SIZES[size], count)
+            for size, count in zip(sizes[firsts].tolist(), (stops - firsts).tolist())
+        ]
         members: Dict[PageSize, List[PTE]] = {}
         columns: Dict[PageSize, _SlotColumns] = {}
-        for size, batch in batches.items():
+        start: Dict[PageSize, int] = {}
+        for size in dict.fromkeys(size for size, _ in size_runs):
             table = self.tables[size]
-            numbered = members[size] = table.entries() + batch
-            keys = np.array([e.vpn for e in numbered], dtype=np.int64)
-            keys //= size.pages_4k
-            if len(set(keys.tolist())) < len(numbered):
+            live = table.entries()
+            batch = np.flatnonzero(sizes == size)
+            members[size] = live + [ptes[i] for i in batch.tolist()]
+            start[size] = len(live)
+            keys = np.concatenate((
+                np.fromiter(map(_VPN, live), dtype=np.int64, count=len(live)),
+                vpns[batch],
+            )) // size.pages_4k
+            if len(set(keys.tolist())) < len(keys):
                 # A duplicate: map one at a time so the error (and the
                 # state left behind) is exactly the per-entry path's.
                 for pte in ptes:
                     self.map(pte)
                 return
-            columns[size] = _SlotColumns(keys, table.ways)
+            columns[size] = _SlotColumns(keys, table.ways, table.max_load)
         for size, numbered in members.items():
-            table = self.tables[size]
-            number = {id(e): i for i, e in enumerate(numbered)}
-            table._slots = [
-                [None if e is None else number[id(e)] for e in way]
-                for way in table._slots
-            ]
+            live = numbered[: start[size]]
+            if live:
+                table = self.tables[size]
+                number = {id(e): i for i, e in enumerate(live)}
+                table._slots = [
+                    [None if e is None else number[id(e)] for e in way]
+                    for way in table._slots
+                ]
         try:
-            start = {size: len(m) - len(batches[size]) for size, m in members.items()}
-            for size, run in groupby(ptes, attrgetter("page_size")):
-                end = start[size] + sum(1 for _ in run)
+            for size, count in size_runs:
+                end = start[size] + count
                 self.tables[size].insert_positions(
                     range(start[size], end), columns[size]
                 )
@@ -396,15 +433,22 @@ class ECPT:
                 ]
         # The CWTs are independent of the tables: adding every entry
         # after the inserts gives the dicts the same operation order.
+        # Each run of one (region, page size) in PTE order adds its
+        # length at once, where per-entry adds would count it up.
         for cwt, region_pages in (
             (self._pmd_cwt, PMD_REGION_PAGES),
             (self._pud_cwt, PUD_REGION_PAGES),
         ):
-            for (region, size), run in groupby(
-                ptes, lambda p: (p.vpn // region_pages, p.page_size)
+            regions = vpns // region_pages
+            firsts, stops = _runs(regions, sizes)
+            for region, size, run in zip(
+                regions[firsts].tolist(),
+                sizes[firsts].tolist(),
+                (stops - firsts).tolist(),
             ):
+                size = _PAGE_SIZES[size]
                 counts = cwt.setdefault(region, {})
-                counts[size] = counts.get(size, 0) + sum(1 for _ in run)
+                counts[size] = counts.get(size, 0) + run
 
     def unmap(self, vpn: int) -> PTE:
         for table in self.tables.values():

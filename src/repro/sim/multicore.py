@@ -6,15 +6,18 @@ speedups unchanged (within 0.5%) — per-process learned indexes are
 independent and the LWC is ASID-tagged, so tenants do not interfere in
 the MMU.
 
-*Multi-threading*: one process, its trace interleaved across N threads,
-each with its own core/MMU but one shared page table and ASID.  The
-paper finds results within 1% of single-threaded because PTE updates
-use per-table locking and retrains are exceedingly rare.
+*Multi-threading*: one process, its trace split into N contiguous
+shards, one per thread, each thread with its own core/MMU but one
+shared page table and ASID.  The paper finds results within 1% of
+single-threaded because PTE updates use per-table locking and retrains
+are exceedingly rare.  Every workload here is populated before the
+run, so no thread takes a demand fault or updates the table, and no
+lock is modelled.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -22,7 +25,6 @@ import numpy as np
 from repro.sim.config import SimConfig
 from repro.sim.results import SimResult
 from repro.sim.simulator import Simulator
-from repro.types import TranslationError
 from repro.workloads.registry import BuiltWorkload
 
 #: References each tenant runs per round before the next core's turn.
@@ -32,21 +34,6 @@ ROUND_REFS = 256
 #: multiple of every cache's set span, so a tenant's lines land in the
 #: same sets as in its solo run, and no two tenants share a line.
 TENANT_PHYS_SPAN = 1 << 40
-
-
-@dataclass
-class LockStats:
-    """Locking behaviour of LVM's multi-threaded updates (section 5.2)."""
-
-    pte_lock_acquisitions: int = 0
-    pte_lock_conflicts: int = 0
-    retrain_lock_acquisitions: int = 0
-
-    @property
-    def conflict_rate(self) -> float:
-        if not self.pte_lock_acquisitions:
-            return 0.0
-        return self.pte_lock_conflicts / self.pte_lock_acquisitions
 
 
 class MultiTenantSimulator:
@@ -108,37 +95,17 @@ class MultiThreadedSimulator:
         # that table and the simulator's L3.
         self.primary = Simulator(scheme, workload, self.config)
         self.cores = [self.primary.sibling() for _ in range(num_threads)]
-        self.locks = LockStats()
 
     def run(self, num_refs: Optional[int] = None) -> Dict[str, float]:
+        """Split the trace into one contiguous shard per thread and run
+        each shard on its core through :meth:`Simulator.run_standard`,
+        so fault plans and ``verify_translations`` apply per thread."""
         refs = num_refs or self.config.num_refs
         shards = np.array_split(self.primary._trace(refs).packed, self.num_threads)
         ipr = self.primary.workload.info.instructions_per_ref
-        fault = self.primary.process.handle_fault
         per_thread_cycles = []
-        last_table = {}
-        for tid, (core, shard) in enumerate(zip(self.cores, shards)):
-            translate = core.mmu.translate
-            access = core.hierarchy.access
-            stalls = 0
-            mmu_cycles = 0
-            for va in shard.tolist():
-                pte, tcycles = translate(va)
-                if pte is None:
-                    # Concurrent fault: the table lock serializes the
-                    # mapping (section 5.2, "Multi-threading").
-                    self.locks.pte_lock_acquisitions += 1
-                    owner = last_table.get(va >> 21)
-                    if owner is not None and owner != tid:
-                        self.locks.pte_lock_conflicts += 1
-                    last_table[va >> 21] = tid
-                    fault(va)
-                    pte, more = translate(va)
-                    tcycles += more
-                    if pte is None:
-                        raise TranslationError(f"unmappable VA {va:#x}")
-                mmu_cycles += tcycles
-                stalls += access(pte.translate(va))
+        for core, shard in zip(self.cores, shards):
+            stalls, mmu_cycles = core.run_standard(shard.tolist())
             instructions = int(len(shard) * ipr)
             per_thread_cycles.append(
                 self.config.core.cycles(instructions, stalls, mmu_cycles)
@@ -146,5 +113,7 @@ class MultiThreadedSimulator:
         return {
             "max_thread_cycles": max(per_thread_cycles),
             "total_refs": refs,
-            "lock_conflict_rate": self.locks.conflict_rate,
+            "incorrect_translations": sum(
+                core.incorrect_translations for core in self.cores
+            ),
         }

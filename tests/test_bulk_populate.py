@@ -120,18 +120,20 @@ class TestBulkEqualsPerPage:
     @given(
         vmas=vma_sets(), thp=st.booleans(), coverage=st.sampled_from([0.9, 1.0]),
         ways=st.sampled_from([2, 3]), initial=st.sampled_from([4, 16, 256]),
+        max_load=st.sampled_from([0.3, 0.6, 0.95]),
     )
     # The 2 MB table grows between two growths of the 4 KB table: their
     # bases come from one allocator in PTE order.
     @example(
         vmas=[VMA(0, 100), VMA(1024, 5120), VMA(8192, 100)],
-        thp=True, coverage=1.0, ways=2, initial=4,
+        thp=True, coverage=1.0, ways=2, initial=4, max_load=0.6,
     )
-    def test_ecpt(self, vmas, thp, coverage, ways, initial):
+    def test_ecpt(self, vmas, thp, coverage, ways, initial, max_load):
         """Small tables and two ways force resizes, long kick chains
-        and resizes nested inside resizes."""
+        and resizes nested inside resizes; each load limit bounds the
+        batch positions a capacity's hash columns must hold."""
         assert_same(
-            lambda a: ECPT(a, ways=ways, initial_size=initial),
+            lambda a: ECPT(a, ways=ways, initial_size=initial, max_load=max_load),
             vmas, thp, coverage,
         )
 

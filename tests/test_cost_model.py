@@ -39,6 +39,36 @@ class TestFitKeys:
             fit_keys(np.empty(0, dtype=np.int64))
 
 
+class TestPlanPredictions:
+    """A plan's ``predictions`` (what a leaf places its entries from)
+    equal the model's scalar ``predict`` of every key, as the per-key
+    placement loop computed them.
+
+    int64 cannot wrap in ``slope_raw * key + intercept_raw``: keys are
+    VPNs of 47-bit virtual addresses (raw or rebased), so below 2**35;
+    for distinct sorted keys the least-squares slope of rank against
+    key is at most 1 (keys rise at least as fast as ranks), so the
+    scaled ``slope_raw`` is at most about ``ga_scale * 2**20``, and a
+    large-page slope is ``2**20 // span``.  Both terms stay below
+    ``ga_scale * 2**56``, far inside 2**63."""
+
+    @pytest.mark.parametrize("keys, spans", [
+        (range(5000), None),
+        ([(1 << 35) - 40_000 + 3 * i for i in range(10_000)], None),
+        ([i * i for i in range(3000)], None),
+        ([(1 << 34) + 512 * i for i in range(600)], [512] * 600),
+        ([0] + [512 * i + 7 for i in range(1, 300)], [7] + [512] * 299),
+    ])
+    def test_match_scalar_predict(self, keys, spans):
+        eff_keys, eff_ends = arrays(keys, spans)
+        plan = plan_leaf(eff_keys, eff_ends, LVMConfig())
+        assert plan.predictions.tolist() == [plan.model.predict(k) for k in keys]
+
+    def test_empty_plan_has_no_predictions(self):
+        plan = plan_leaf(*arrays([]), LVMConfig())
+        assert plan.predictions.tolist() == []
+
+
 class TestPlanLeaf:
     def test_dense_keys_good_plan(self):
         keys, ends = arrays(range(5000))

@@ -1,7 +1,8 @@
 """Tests for gapped page tables (paper section 4.2.2)."""
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.core.gapped_page_table import GPTFullError, GappedPageTable
 from repro.types import PTE, PageSize
@@ -70,6 +71,71 @@ class TestInsert:
         gpt = GappedPageTable(8, 0)
         with pytest.raises(KeyError):
             gpt.remove(3)
+
+
+def _insert_each(gpt, predictions, ptes, cap):
+    """The per-entry loop ``place`` replaced in leaf builds and
+    retrains: the reference."""
+    for predicted, pte in zip(predictions, ptes):
+        gpt.insert(predicted, pte, cap)
+
+
+def _placed(gpt):
+    """Which entry object sits in each slot, and the counters."""
+    return [id(e) if e is not None else None for e in gpt._slots], \
+        gpt.occupied, gpt.max_displacement
+
+
+class TestPlace:
+    """``place`` leaves what one ``insert`` per entry leaves: the same
+    slots, ``occupied``, ``max_displacement``, and on
+    ``GPTFullError`` the same partial placement."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        num_slots=st.integers(min_value=1, max_value=64),
+        predictions=st.lists(st.integers(min_value=-8, max_value=72), max_size=80),
+        sort=st.sampled_from(["strict", "sorted", "none"]),
+        preload=st.lists(st.integers(min_value=0, max_value=63), max_size=5),
+        cap=st.integers(min_value=0, max_value=12),
+    )
+    def test_matches_insert_loop(self, num_slots, predictions, sort, preload, cap):
+        if sort == "strict":
+            predictions = sorted(set(predictions))
+        elif sort == "sorted":
+            predictions = sorted(predictions)
+        ptes = [make_pte(i) for i in range(len(predictions))]
+        reference, placed = GappedPageTable(num_slots, 0), GappedPageTable(num_slots, 0)
+        for slot in preload:
+            # An occupied table must take the per-entry path.
+            pte = make_pte(1000 + slot)
+            for gpt in (reference, placed):
+                if slot < num_slots and gpt._slots[slot] is None:
+                    gpt.insert(slot, pte, 0)
+        outcomes = []
+        for gpt, run in ((reference, _insert_each), (placed, GappedPageTable.place)):
+            try:
+                run(gpt, np.array(predictions, dtype=np.int64), ptes, cap)
+                outcomes.append(None)
+            except GPTFullError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        assert _placed(placed) == _placed(reference)
+
+    def test_rising_predictions_go_straight_to_their_slots(self):
+        gpt = GappedPageTable(10, 0)
+        ptes = [make_pte(v) for v in range(4)]
+        gpt.place(np.array([0, 3, 4, 9]), ptes, 0)
+        assert [gpt._slots[s] for s in (0, 3, 4, 9)] == ptes
+        assert (gpt.occupied, gpt.max_displacement) == (4, 0)
+
+    def test_colliding_predictions_search_as_insert_does(self):
+        gpt = GappedPageTable(10, 0)
+        ptes = [make_pte(v) for v in range(3)]
+        gpt.place(np.array([5, 5, 5]), ptes, 2)
+        assert [gpt._slots[s] for s in (5, 6, 4)] == ptes
+        with pytest.raises(GPTFullError):
+            gpt.place(np.array([5]), [make_pte(9)], 1)
 
 
 class TestExpand:

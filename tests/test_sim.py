@@ -2,8 +2,10 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
+from repro.faults import FaultPlan
 from repro.sim import (
     SCHEMES,
     ResultSet,
@@ -143,7 +145,6 @@ class TestMulticore:
         )
         out = sim.run()
         assert out["max_thread_cycles"] > 0
-        assert 0.0 <= out["lock_conflict_rate"] <= 1.0
 
     def test_stacked_tenants_share_one_l3(self, gups):
         """Every tenant's L2 misses go to the one shared L3."""
@@ -190,3 +191,52 @@ class TestMulticore:
         )
         assert all(c.page_table is sim.primary.page_table for c in sim.cores)
         assert all(c.mmu is not sim.primary.mmu for c in sim.cores)
+
+    @pytest.mark.parametrize("threads", [1, 8])
+    def test_threads_run_the_standard_loop(self, threads):
+        """Each thread's shard goes through ``Simulator.run_standard``;
+        fault-free, that gives the cycles of the per-thread loop the
+        study used to carry (translate, demand-fault, access)."""
+        bfs = build_workload("bfs", scale=256)
+        config = SimConfig(num_refs=3000, footprint_scale=256)
+        sim = MultiThreadedSimulator("lvm", bfs, num_threads=threads, config=config)
+        reference = MultiThreadedSimulator("lvm", bfs, num_threads=threads, config=config)
+        assert sim.run()["max_thread_cycles"] == _per_thread_loop(reference)
+
+    def test_fault_plan_applies_to_threads(self):
+        """A fault plan fires in the threading study as in solo runs,
+        and every translation still checks out against the OS."""
+        bfs = build_workload("bfs", scale=256)
+        config = SimConfig(
+            num_refs=3000, footprint_scale=256, verify_translations=True,
+            faults=FaultPlan(seed=3, pte_bitflip_rate=0.01),
+        )
+        sim = MultiThreadedSimulator("lvm", bfs, num_threads=4, config=config)
+        out = sim.run()
+        assert sim.primary.injector.total_injected > 0
+        assert out["incorrect_translations"] == 0
+
+
+def _per_thread_loop(sim):
+    """The threading study's own translate loop, as it was before the
+    cores ran ``run_standard`` (less its lock counters, which never
+    fired): the reference for fault-free cycles."""
+    refs = sim.config.num_refs
+    shards = np.array_split(sim.primary._trace(refs).packed, sim.num_threads)
+    ipr = sim.primary.workload.info.instructions_per_ref
+    fault = sim.primary.process.handle_fault
+    per_thread_cycles = []
+    for core, shard in zip(sim.cores, shards):
+        stalls = mmu_cycles = 0
+        for va in shard.tolist():
+            pte, tcycles = core.mmu.translate(va)
+            if pte is None:
+                fault(va)
+                pte, more = core.mmu.translate(va)
+                tcycles += more
+            mmu_cycles += tcycles
+            stalls += core.hierarchy.access(pte.translate(va))
+        per_thread_cycles.append(
+            sim.config.core.cycles(int(len(shard) * ipr), stalls, mmu_cycles)
+        )
+    return max(per_thread_cycles)

@@ -1,8 +1,92 @@
 """Tests for spline-point estimation (cost-model seed)."""
 
-from hypothesis import given, strategies as st
+import random
+from typing import List, Sequence
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from repro.core.spline import num_segments, spline_points
+
+
+def _spline_points_loop(keys: Sequence[int], max_error: int = 32) -> List[int]:
+    """The one-key-at-a-time shrinking cone that the chunked NumPy
+    version replaced: the reference.  Slopes are Python ``int / int``
+    divisions, correctly rounded; NumPy's are float64 divisions of the
+    same integers, exact in float64 because keys stay below 2**35."""
+    n = len(keys)
+    if n == 0:
+        return []
+    if n <= 2:
+        return [0] if n == 1 else [0, n - 1]
+    knots = [0]
+    anchor_idx = 0
+    anchor_key = keys[0]
+    lo_slope = float("-inf")
+    hi_slope = float("inf")
+    for i in range(1, n):
+        dx = keys[i] - anchor_key
+        dy = i - anchor_idx
+        if dx == 0:
+            continue
+        cand_lo = (dy - max_error) / dx
+        cand_hi = (dy + max_error) / dx
+        new_lo = max(lo_slope, cand_lo)
+        new_hi = min(hi_slope, cand_hi)
+        if new_lo > new_hi:
+            knots.append(i - 1)
+            anchor_idx = i - 1
+            anchor_key = keys[i - 1]
+            dx = keys[i] - anchor_key
+            if dx > 0:
+                lo_slope = (1 - max_error) / dx
+                hi_slope = (1 + max_error) / dx
+            else:
+                lo_slope, hi_slope = float("-inf"), float("inf")
+        else:
+            lo_slope, hi_slope = new_lo, new_hi
+    if knots[-1] != n - 1:
+        knots.append(n - 1)
+    return knots
+
+
+class TestMatchesLoop:
+    """The chunked cone places exactly the loop's knots."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        steps=st.lists(
+            # Repeated keys (clamped rebased keys), dense runs, jumps.
+            st.sampled_from([0, 1, 1, 1, 2, 3, 7, 64, 1000, 1 << 20]),
+            min_size=0,
+            max_size=400,
+        ),
+        start=st.integers(min_value=0, max_value=(1 << 35) - (1 << 30)),
+        max_error=st.sampled_from([1, 2, 4, 16, 32, 100]),
+    )
+    def test_matches_loop(self, steps, start, max_error):
+        keys, cursor = [], start
+        for step in steps:
+            cursor += step
+            keys.append(cursor)
+        assert spline_points(keys, max_error) == _spline_points_loop(keys, max_error)
+        assert spline_points(np.array(keys, dtype=np.int64), max_error) == \
+            _spline_points_loop(keys, max_error)
+
+    def test_large_mixed_key_set(self):
+        """Tens of thousands of keys: many chunks, short and long
+        segments, near the top of the VPN range."""
+        rng = random.Random(7)
+        keys, cursor = [], (1 << 35) - (1 << 28)
+        for _ in range(40):
+            run = rng.choice([40, 500, 5000])
+            stride = rng.choice([1, 1, 2, 3])
+            for _ in range(run):
+                keys.append(cursor)
+                cursor += stride + (rng.random() < 0.05) * rng.randrange(100)
+            cursor += rng.choice([0, 300, 1 << 16])
+        for max_error in (4, 32):
+            assert spline_points(keys, max_error) == _spline_points_loop(keys, max_error)
 
 
 class TestSplinePoints:

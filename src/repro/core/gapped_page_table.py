@@ -16,14 +16,36 @@ hardware walker turns those into memory accesses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ReproError
-from repro.types import PTE, CACHE_LINE_SIZE, PTE_SIZE
+from repro.types import (
+    BASE_PAGE_SHIFT,
+    CACHE_LINE_SIZE,
+    PTE,
+    PTE_SIZE,
+    PTE_TAG_MASK,
+    PTE_TAG_PPN_MULT,
+    PTE_TAG_VPN_MULT,
+)
 
 SLOTS_PER_LINE = CACHE_LINE_SIZE // PTE_SIZE
+
+
+def _around(center: int, count: int, reach: int):
+    """The slots a bounded search probes after ``center``, in order:
+    ``center + 1``, ``center - 1``, ``center + 2``, ``center - 2``, ...
+    up to ``reach`` steps each way, skipping those outside a table of
+    ``count`` slots.  Searches probe ``center`` itself first, and build
+    this only when they must go on: in a well-trained leaf most stop
+    there, and building the chain costs about as much as that probe."""
+    rights = range(center + 1, min(count, center + reach + 1))
+    lefts = range(center - 1, max(-1, center - reach - 1), -1)
+    both = min(len(rights), len(lefts))
+    return chain(chain.from_iterable(zip(rights, lefts)), rights[both:], lefts[both:])
 
 
 class GPTFullError(ReproError):
@@ -104,28 +126,22 @@ class GappedPageTable:
 
         Returns the slot used.
         """
-        center = self._clamp(predicted)
-        if self._slots[center] is None:
-            self._slots[center] = pte
-            self.occupied += 1
-            disp = abs(center - predicted)
-            if disp > self.max_displacement:
-                self.max_displacement = disp
-            return center
-        step = 1
-        while step <= max_displacement:
-            for slot in (center + step, center - step):
-                if 0 <= slot < self.num_slots and self._slots[slot] is None:
-                    self._slots[slot] = pte
-                    self.occupied += 1
-                    disp = abs(slot - predicted)
-                    if disp > self.max_displacement:
-                        self.max_displacement = disp
-                    return slot
-            step += 1
-        raise GPTFullError(
-            f"no free slot within {max_displacement} of predicted {predicted}"
-        )
+        slots = self._slots
+        slot = center = self._clamp(predicted)
+        if slots[center] is not None:
+            for slot in _around(center, len(slots), max_displacement):
+                if slots[slot] is None:
+                    break
+            else:
+                raise GPTFullError(
+                    f"no free slot within {max_displacement} of predicted {predicted}"
+                )
+        slots[slot] = pte
+        self.occupied += 1
+        disp = abs(slot - predicted)
+        if disp > self.max_displacement:
+            self.max_displacement = disp
+        return slot
 
     def place(self, predictions: np.ndarray, ptes, max_displacement: int) -> None:
         """:meth:`insert` ``ptes[i]`` at ``predictions[i]`` for each i in
@@ -216,41 +232,47 @@ class GappedPageTable:
 
         ``window`` bounds the scan (slots on each side).  The number of
         distinct cache lines touched is reported so the walker can
-        account for every additional memory access.
+        account for every additional memory access.  An entry that
+        fails its integrity check is never trusted: it flags the walk
+        (``corrupt_seen``) and the search goes on.
+
+        The probes run outward from the predicted slot (clamped into
+        the table), then in :func:`_around`'s order.  The probed slots
+        always form one run, so a probe touches a new cache line
+        exactly when its line lies outside the run's lines so far.
         """
+        slots = self._slots
         center = self._clamp(predicted)
-        seen = set()
-        line_paddrs: List[int] = []
-        corrupt = [False]
-
-        def probe(slot: int) -> Optional[PTE]:
-            line = self.line_of(slot)
-            if line not in seen:
-                seen.add(line)
-                line_paddrs.append(line * CACHE_LINE_SIZE)
-            entry = self._slots[slot]
-            if entry is None:
-                return None
+        base = self.base_paddr
+        low_line = high_line = (base + center * PTE_SIZE) // CACHE_LINE_SIZE
+        line_paddrs = [low_line * CACHE_LINE_SIZE]
+        corrupt = False
+        entry = slots[center]
+        if entry is not None:
             if not entry.is_intact():
+                corrupt = True
+            elif entry.covers(query_vpn):
+                return GPTLookup(entry, center, line_paddrs, False)
+        for slot in _around(center, len(slots), window):
+            line = (base + slot * PTE_SIZE) // CACHE_LINE_SIZE
+            if line > high_line:
+                high_line = line
+                line_paddrs.append(line * CACHE_LINE_SIZE)
+            elif line < low_line:
+                low_line = line
+                line_paddrs.append(line * CACHE_LINE_SIZE)
+            entry = slots[slot]
+            if entry is None:
+                continue
+            first = entry.vpn
+            if entry._tag != (
+                first * PTE_TAG_VPN_MULT + entry.ppn * PTE_TAG_PPN_MULT + entry.page_size
+            ) & PTE_TAG_MASK:
                 # Parity failure: never trust the entry, flag the walk.
-                corrupt[0] = True
-                return None
-            if entry.covers(query_vpn):
-                return entry
-            return None
-
-        found = probe(center)
-        if found is not None:
-            return GPTLookup(found, center, line_paddrs, corrupt[0])
-        step = 1
-        while step <= window:
-            for slot in (center + step, center - step):
-                if 0 <= slot < self.num_slots:
-                    found = probe(slot)
-                    if found is not None:
-                        return GPTLookup(found, slot, line_paddrs, corrupt[0])
-            step += 1
-        return GPTLookup(None, -1, line_paddrs, corrupt[0])
+                corrupt = True
+            elif first <= query_vpn < first + (entry.page_size >> BASE_PAGE_SHIFT):
+                return GPTLookup(entry, slot, line_paddrs, corrupt)
+        return GPTLookup(None, -1, line_paddrs, corrupt)
 
     def lookup_sorted(self, predicted: int, query_vpn: int, window: int) -> GPTLookup:
         """Bounded *binary* search for the entry covering ``query_vpn``.
@@ -259,75 +281,73 @@ class GappedPageTable:
         leaves): this is the paper's "binary search ... within the
         model's min and max error range" (section 2.3 / 4.3.3), costing
         O(log window) line touches instead of a linear scan.
+
+        Each step reads the nearest trustworthy entry at or left of the
+        midpoint (down to the window's left edge).  Corrupt entries
+        cannot steer the search (a flipped vpn breaks the key order it
+        relies on); they are flagged and skipped.
         """
+        slots = self._slots
         lo = max(0, predicted - window)
-        hi = min(self.num_slots - 1, predicted + window)
+        hi = min(len(slots) - 1, predicted + window)
+        base = self.base_paddr
         seen = set()
         line_paddrs: List[int] = []
-        corrupt = [False]
-
-        def touch(slot: int):
-            line = self.line_of(slot)
-            if line not in seen:
-                seen.add(line)
-                line_paddrs.append(line * CACHE_LINE_SIZE)
-
-        def entry_at_or_left(slot: int):
-            """Nearest trustworthy occupied slot at or left of ``slot``.
-
-            Corrupt entries cannot steer the binary search (a flipped
-            vpn breaks the key order it relies on); they are flagged
-            and skipped.
-            """
-            while slot >= lo:
-                touch(slot)
-                entry = self._slots[slot]
-                if entry is not None:
-                    if entry.is_intact():
-                        return slot
-                    corrupt[0] = True
-                slot -= 1
-            return None
-
+        corrupt = False
         # Binary search for the rightmost entry with vpn <= query.
         best = None
         low, high = lo, hi
         while low <= high:
             mid = (low + high) // 2
-            probe = entry_at_or_left(mid)
-            if probe is None:
+            slot = mid
+            while slot >= lo:
+                line = (base + slot * PTE_SIZE) // CACHE_LINE_SIZE
+                if line not in seen:
+                    seen.add(line)
+                    line_paddrs.append(line * CACHE_LINE_SIZE)
+                entry = slots[slot]
+                if entry is not None:
+                    if entry._tag == (
+                        entry.vpn * PTE_TAG_VPN_MULT
+                        + entry.ppn * PTE_TAG_PPN_MULT
+                        + entry.page_size
+                    ) & PTE_TAG_MASK:
+                        break
+                    corrupt = True
+                slot -= 1
+            else:
+                # No trustworthy entry at or left of ``mid``.
                 low = mid + 1
                 continue
-            entry = self._slots[probe]
             if entry.vpn <= query_vpn:
-                best = probe
+                best = slot
                 low = mid + 1
             else:
-                high = probe - 1
+                high = slot - 1
         if best is not None:
-            entry = self._slots[best]
-            if entry.covers(query_vpn):
-                return GPTLookup(entry, best, line_paddrs, corrupt[0])
-        return GPTLookup(None, -1, line_paddrs, corrupt[0])
+            entry = slots[best]
+            first = entry.vpn
+            if first <= query_vpn < first + (entry.page_size >> BASE_PAGE_SHIFT):
+                return GPTLookup(entry, best, line_paddrs, corrupt)
+        return GPTLookup(None, -1, line_paddrs, corrupt)
 
     def find_slot(self, predicted: int, vpn: int, window: int) -> int:
-        """Slot index holding the entry whose first VPN is ``vpn``.
+        """Slot index holding the intact entry whose first VPN is
+        ``vpn``: the predicted slot first, then :func:`_around`'s
+        order.
 
         Used by unmap and permission updates, which must locate the
         exact entry rather than any covering mapping.
         """
+        slots = self._slots
         center = self._clamp(predicted)
-        entry = self._slots[center]
+        entry = slots[center]
         if entry is not None and entry.vpn == vpn and entry.is_intact():
             return center
-        step = 1
-        while step <= window:
-            for slot in (center + step, center - step):
-                if 0 <= slot < self.num_slots:
-                    entry = self._slots[slot]
-                    if entry is not None and entry.vpn == vpn and entry.is_intact():
-                        return slot
-            step += 1
+        for slot in _around(center, len(slots), window):
+            entry = slots[slot]
+            if entry is not None and entry.vpn == vpn and entry.is_intact():
+                return slot
         raise KeyError(f"vpn {vpn:#x} not present near slot {predicted}")
 
     def scan(self, query_vpn: int) -> GPTLookup:

@@ -1,9 +1,10 @@
 """The L1/L2/L3 + DRAM memory hierarchy (Table 1).
 
-``access`` walks a physical address down the levels, filling on the way
-back, and returns the load-to-use latency in cycles.  Page-table
-walkers connect at the L2 by default (the paper's baseline); section
-7.2's "Connecting PTW to L1/L2 cache" study flips ``walker_entry``.
+``access`` (demand loads) and ``walk_access`` (page-walk loads) walk a
+physical address down the levels, filling on the way back, and return
+the load-to-use latency in cycles.  Page-table walkers connect at the
+L2 by default (the paper's baseline); section 7.2's "Connecting PTW to
+L1/L2 cache" study flips ``walker_entry``.
 """
 
 from __future__ import annotations
@@ -11,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
+from repro.errors import ConfigError
 from repro.mmu.cache import Cache
+from repro.types import CACHE_LINE_SIZE
 
 
 @dataclass
@@ -28,7 +31,7 @@ class HierarchyConfig:
     l3_ways: int = 16
     l3_latency: int = 56
     dram_latency: int = 160  # DDR4-3200-class load latency at 2 GHz
-    walker_entry: str = "l2"  # where page-walk accesses enter ("l1"/"l2")
+    walker_entry: str = "l2"  # where page-walk accesses enter ("l1", "l2" or "l3")
     # Next-line prefetch degree for demand (data) accesses.  Modern
     # cores hide most streaming misses behind stride prefetchers;
     # without this, streaming workloads (DC, PageRank sweeps, MUMmer
@@ -37,8 +40,6 @@ class HierarchyConfig:
 
     def validate(self) -> None:
         """Reject impossible cache geometries with a clear message."""
-        from repro.errors import ConfigError
-
         for level in ("l1", "l2", "l3"):
             size = getattr(self, f"{level}_size")
             ways = getattr(self, f"{level}_ways")
@@ -51,10 +52,10 @@ class HierarchyConfig:
                 raise ConfigError(
                     f"{level.upper()} associativity must be positive, got {ways!r}"
                 )
-            if size < ways * 64:
+            if size % (ways * CACHE_LINE_SIZE):
                 raise ConfigError(
-                    f"{level.upper()} size {size} cannot hold one 64 B line "
-                    f"per way ({ways} ways)"
+                    f"{level.upper()} size {size} is not a whole number of "
+                    f"sets ({ways} ways x {CACHE_LINE_SIZE} B lines)"
                 )
             if latency < 0:
                 raise ConfigError(
@@ -101,54 +102,102 @@ class HierarchyConfig:
 
 class MemoryHierarchy:
     """Three cache levels backed by fixed-latency DRAM.  The cores of a
-    multicore run each build one around a shared ``l3``; the lookup
-    chains are fixed here, so the L3 cannot be swapped afterwards."""
+    multicore run each build one around a shared ``l3``.
+
+    :meth:`access` and :meth:`walk_access` run the whole chain inline
+    over each level's containers, bound here once: every level must
+    index its sets modulo their count by 64-byte line (the stock
+    :class:`Cache` mapping), so an ``l3`` of another geometry or a
+    subclass that overrides ``Cache._locate`` is refused, and the
+    levels cannot be swapped afterwards."""
 
     def __init__(self, config: Optional[HierarchyConfig] = None, l3: Optional[Cache] = None):
         self.config = config or HierarchyConfig()
         c = self.config
         self.l1 = Cache("L1D", c.l1_size, c.l1_ways, c.l1_latency)
         self.l2 = Cache("L2", c.l2_size, c.l2_ways, c.l2_latency)
-        self.l3 = l3 if l3 is not None else Cache("L3", c.l3_size, c.l3_ways, c.l3_latency)
+        if l3 is None:
+            l3 = Cache("L3", c.l3_size, c.l3_ways, c.l3_latency)
+        elif type(l3)._locate is not Cache._locate or l3.line_size != CACHE_LINE_SIZE:
+            raise ConfigError(
+                f"L3 {l3.name!r} must map {CACHE_LINE_SIZE} B lines to sets "
+                f"modulo the set count"
+            )
+        self.l3 = l3
         self.dram_accesses = 0
-        # Hot-path constants: the lookup chains per entry point (built
-        # once, not per access) and the flat DRAM miss latency.
-        self._chains = {
-            "l1": (self.l1, self.l2, self.l3),
-            "l2": (self.l2, self.l3),
-            "l3": (self.l3,),
-        }
+        # Hot-path constants: (cache, sets, num_sets, ways, latency) per
+        # level, for demand accesses (from the L1) and for page-walk
+        # accesses (from ``walker_entry``).
+        levels = tuple(
+            (cache, cache._sets, cache.num_sets, cache.ways, cache.latency)
+            for cache in (self.l1, self.l2, self.l3)
+        )
+        self._levels = levels
+        self._walk_levels = levels[("l1", "l2", "l3").index(c.walker_entry):]
         self._dram_latency = c.l3_latency + c.dram_latency
-        self._do_prefetch = c.prefetch_degree > 0
-        self._walker_entry = c.walker_entry
+        self._prefetch_lines = tuple(range(1, c.prefetch_degree + 1))
 
-    def access(self, paddr: int, entry: str = "l1", is_walk: bool = False) -> int:
-        """Access a physical address; returns latency in cycles."""
-        try:
-            chain = self._chains[entry]
-        except KeyError:
-            raise ValueError(f"unknown entry level {entry!r}") from None
-        for cache in chain:
-            if cache.access(paddr, is_walk):
-                return cache.latency
+    def access(self, paddr: int) -> int:
+        """A demand access entering at the L1; returns its latency in
+        cycles.  Each level fills on a miss (evicting its LRU line).
+        A DRAM miss also prefetches the next ``prefetch_degree`` lines
+        into every level, free of charge: they arrive before use in a
+        stream, and for random traffic they add mild pollution, as on
+        real hardware."""
+        line = paddr >> 6
+        levels = self._levels
+        for cache, sets, num_sets, ways, latency in levels:
+            index = line % num_sets
+            tag = line // num_sets
+            lines = sets.get(index)
+            if lines is None:
+                lines = sets[index] = {}
+            elif tag in lines:
+                cache.hits += 1
+                del lines[tag]
+                lines[tag] = None
+                return latency
+            cache.misses += 1
+            if len(lines) >= ways:
+                del lines[next(iter(lines))]
+            lines[tag] = None
         self.dram_accesses += 1
-        if not is_walk and self._do_prefetch and entry == "l1":
-            self._prefetch(paddr)
+        for step in self._prefetch_lines:
+            target = line + step
+            for _, sets, num_sets, ways, _ in levels:
+                index = target % num_sets
+                tag = target // num_sets
+                lines = sets.get(index)
+                if lines is None:
+                    sets[index] = {tag: None}
+                    continue
+                if tag in lines:
+                    del lines[tag]
+                elif len(lines) >= ways:
+                    del lines[next(iter(lines))]
+                lines[tag] = None
         return self._dram_latency
 
-    def _prefetch(self, paddr: int) -> None:
-        """Next-line prefetch on a demand miss: fill the following
-        lines without charging latency (they arrive before use in a
-        stream; useless fills for random traffic just add mild
-        pollution, as on real hardware)."""
-        line = paddr - (paddr % 64)
-        l1, l2, l3 = self._chains["l1"]
-        for step in range(1, self.config.prefetch_degree + 1):
-            target = line + step * 64
-            l1.fill(target)
-            l2.fill(target)
-            l3.fill(target)
-
     def walk_access(self, paddr: int) -> int:
-        """A page-walk access, entering at the configured level."""
-        return self.access(paddr, self._walker_entry, True)
+        """A page-walk access, entering at ``walker_entry``: as
+        :meth:`access`, but its misses also count as walk misses and
+        it prefetches nothing."""
+        line = paddr >> 6
+        for cache, sets, num_sets, ways, latency in self._walk_levels:
+            index = line % num_sets
+            tag = line // num_sets
+            lines = sets.get(index)
+            if lines is None:
+                lines = sets[index] = {}
+            elif tag in lines:
+                cache.hits += 1
+                del lines[tag]
+                lines[tag] = None
+                return latency
+            cache.misses += 1
+            cache.walk_misses += 1
+            if len(lines) >= ways:
+                del lines[next(iter(lines))]
+            lines[tag] = None
+        self.dram_accesses += 1
+        return self._dram_latency

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
-from repro.types import PTE, PageSize
+from repro.types import BASE_PAGE_SHIFT, PTE, PageSize
 
 
 class TLBArray:
@@ -167,39 +167,81 @@ class TLBHierarchy:
         }
         # 1 GB pages share the 2 MB arrays in this model (x86 parts
         # vary; Table 1 lists no separate 1 GB TLB).
-        # Hot-path constants: probe order (4K first, as ``lookup``
-        # iterates) without per-lookup dict indexing.
-        self._l1_probe = (
-            self.l1[PageSize.SIZE_4K], self.l1[PageSize.SIZE_2M]
+        # Hot-path constants: each array's (array, sets, num_sets,
+        # ways, base pages per entry); the probe order (L1 then L2, 4K
+        # first), each with whether it is an L2 array; and per page
+        # size, the (L1, L2) arrays an entry of that size fills and the
+        # L1 array alone, which an L2 hit refills.
+        def bound(arr: TLBArray):
+            return (arr, arr._sets, arr.num_sets, arr.ways, arr._page_span)
+
+        self._probes = tuple(
+            (*bound(arr), in_l2)
+            for in_l2, level in ((False, self.l1), (True, self.l2))
+            for arr in level.values()
         )
-        self._l2_probe = (
-            self.l2[PageSize.SIZE_4K], self.l2[PageSize.SIZE_2M]
-        )
+        self._fills = {
+            size: (bound(self.l1[held]), bound(self.l2[held]))
+            for size, held in (
+                (PageSize.SIZE_4K, PageSize.SIZE_4K),
+                (PageSize.SIZE_2M, PageSize.SIZE_2M),
+                (PageSize.SIZE_1G, PageSize.SIZE_2M),
+            )
+        }
+        self._refills = {size: arrays[:1] for size, arrays in self._fills.items()}
         self._l2_latency = c.l2_latency
 
-    def _arrays_for(self, size: PageSize):
-        if size is PageSize.SIZE_1G:
-            size = PageSize.SIZE_2M
-        return self.l1[size], self.l2[size]
-
     def lookup(self, vpn: int, asid: int) -> Tuple[Optional[PTE], int]:
-        """Probe L1 then L2 for all sizes; returns (pte, latency)."""
-        for arr in self._l1_probe:
-            pte = arr.lookup(vpn, asid)
-            if pte is not None and pte.covers(vpn):
-                return pte, 0
-        for arr in self._l2_probe:
-            pte = arr.lookup(vpn, asid)
-            if pte is not None and pte.covers(vpn):
-                l1_arr, _ = self._arrays_for(pte.page_size)
-                l1_arr.insert(pte, asid)
-                return pte, self._l2_latency
-        return None, self._l2_latency
+        """Probe L1 then L2 for all sizes; returns (pte, latency).
+
+        Each probe counts a hit (moving the entry to MRU) or a miss on
+        its array, as :meth:`TLBArray.lookup` does; a hit on an entry
+        that does not cover ``vpn`` is passed over.  An L2 hit also
+        fills the L1 array of the entry's size."""
+        for arr, sets, num_sets, _, span, in_l2 in self._probes:
+            page_vpn = vpn // span
+            entries = sets.get(page_vpn % num_sets)
+            if entries is not None:
+                key = (asid, page_vpn)
+                pte = entries.get(key)
+                if pte is not None:
+                    del entries[key]
+                    entries[key] = pte
+                    arr.hits += 1
+                    base = pte.vpn
+                    if base <= vpn < base + (pte.page_size >> BASE_PAGE_SHIFT):
+                        if in_l2:
+                            break
+                        return pte, 0
+                    continue
+            arr.misses += 1
+        else:
+            return None, self._l2_latency
+        self._fill(self._refills[pte.page_size], pte, asid)
+        return pte, self._l2_latency
 
     def insert(self, pte: PTE, asid: int) -> None:
-        l1_arr, l2_arr = self._arrays_for(pte.page_size)
-        l1_arr.insert(pte, asid)
-        l2_arr.insert(pte, asid)
+        """Fill ``pte`` into the L1 and L2 arrays of its size."""
+        self._fill(self._fills[pte.page_size], pte, asid)
+
+    @staticmethod
+    def _fill(arrays, pte: PTE, asid: int) -> None:
+        """:meth:`TLBArray.insert` on each of ``arrays``: the entry
+        moves to MRU, or takes the place of its set's LRU entry when
+        the set is full."""
+        base = pte.vpn
+        for _, sets, num_sets, ways, span in arrays:
+            page_vpn = base // span
+            key = (asid, page_vpn)
+            entries = sets.get(page_vpn % num_sets)
+            if entries is None:
+                sets[page_vpn % num_sets] = {key: pte}
+                continue
+            if key in entries:
+                del entries[key]
+            elif len(entries) >= ways:
+                del entries[next(iter(entries))]
+            entries[key] = pte
 
     def invalidate(self, vpn: int, asid: int) -> None:
         for arr in (*self.l1.values(), *self.l2.values()):

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.core.fixed_point import MODEL_BYTES
 from repro.core.learned_index import LearnedIndex
 from repro.mmu.hierarchy import MemoryHierarchy
 from repro.mmu.walk_cache import CWC, LWC, RadixPWC
@@ -21,6 +22,11 @@ from repro.pagetables.fpt import FlattenedPageTable
 from repro.pagetables.ideal import IdealPageTable
 from repro.pagetables.radix import RadixPageTable
 from repro.types import PTE, AccessKind
+
+_CWT = AccessKind.CWT
+_PT_LEAF = AccessKind.PT_LEAF
+# LVM models one 64 B line fetch brings into the LWC (section 4.6.2).
+_MODELS_PER_LINE = 64 // MODEL_BYTES
 
 
 @dataclass
@@ -48,34 +54,51 @@ class RadixWalker:
         self.total_cycles = 0
         self.total_accesses = 0
         self.poison_detections = 0
+        # Hot-path constants: the PWC's (level, shift, LRU set) deepest
+        # first, and its three LRU sets for the poison count.
+        self._pwc_levels = self.pwc._probe_order
+        self._pwc_sets = tuple(lru for _, _, lru in self._pwc_levels)
+        self._walk_access = hierarchy.walk_access
         # Cumulative PWC-detection snapshot: detections only ever happen
         # inside ``walk`` (during the PWC probe), so one delta per walk
-        # replaces the before/after property-call pair on the hot path.
+        # replaces a before/after pair of counts.
         self._poison_seen = self.pwc.poison_detections
 
     def walk(self, vpn: int, asid: int = 0) -> WalkOutcome:
         result = self.table.walk(vpn)
-        lowest = self.pwc.lowest_cached_level(vpn, asid)
-        cycles = self.pwc.latency
+        accesses = result.accesses
+        levels = self._pwc_levels
+        # ``RadixPWC.lowest_cached_level``: the deepest level whose
+        # entry the PWC holds; the walk starts below it.
+        lowest = 5  # above the PML4: nothing cached, every access issues
+        for level, shift, lru in levels:
+            if lru.lookup((asid, vpn >> shift)):
+                lowest = level
+                break
+        latency = self.pwc.latency
+        cycles = latency
         # A parity trip costs the dead probe before the walk restarts
         # below the invalidated entry.
-        poison_now = self.pwc.poison_detections
+        pd, pdpt, pml4 = self._pwc_sets
+        poison_now = pd.poison_detections + pdpt.poison_detections + pml4.poison_detections
         detected = poison_now - self._poison_seen
         if detected:
             self._poison_seen = poison_now
             self.poison_detections += detected
-            cycles += detected * self.pwc.latency
+            cycles += detected * latency
         issued = 0
-        walk_access = self.hierarchy.walk_access
-        for access in result.accesses:
-            if lowest is not None and access.level >= lowest:
-                continue  # served by the PWC
-            cycles += walk_access(access.paddr)
-            issued += 1
-        # Fill the PWC with the non-leaf entries this walk traversed.
-        if len(result.accesses) > 1:
-            deepest_nonleaf = result.accesses[-2].level
-            self.pwc.fill(vpn, asid, deepest_nonleaf)
+        walk_access = self._walk_access
+        for access in accesses:
+            if access.level < lowest:
+                cycles += walk_access(access.paddr)
+                issued += 1
+        # ``RadixPWC.fill``: install the non-leaf entries this walk
+        # traversed, down to the deepest one.
+        if len(accesses) > 1:
+            deepest_nonleaf = accesses[-2].level
+            for level, shift, lru in levels:
+                if level >= deepest_nonleaf:
+                    lru.insert((asid, vpn >> shift))
         self.walks += 1
         self.total_cycles += cycles
         self.total_accesses += issued
@@ -111,52 +134,54 @@ class ECPTWalker:
         self.total_cycles = 0
         self.total_accesses = 0
         self.poison_detections = 0
+        # Hot-path constants: the CWC's two LRU sets.
+        self._cwc_pud = self.cwc.pud
+        self._cwc_pmd = self.cwc.pmd
+        self._walk_access = hierarchy.walk_access
         # See RadixWalker: one cumulative snapshot per walk instead of a
-        # before/after property-call pair.
+        # before/after pair of counts.
         self._poison_seen = self.cwc.poison_detections
 
     def walk(self, vpn: int, asid: int = 0) -> WalkOutcome:
         result = self.table.walk(vpn)
-        cycles = self.cwc.latency
+        pud, pmd = self._cwc_pud, self._cwc_pmd
+        walk_access = self._walk_access
+        latency = self.cwc.latency
         issued = 0
-        # CWT consults on CWC miss: the PUD entry always, the PMD entry
+        # The walk lists its CWT accesses before its probes.  CWT
+        # consults on CWC miss: the PUD entry always, the PMD entry
         # only for mixed-size regions (level tags 6 and 5).  The two
         # fetches are independent and overlap, so latency is their max.
-        cwt_latency = 0
-        for access in result.accesses:
-            if access.kind is not AccessKind.CWT:
-                continue
-            if access.level == 6:
-                hit = self.cwc.pud.lookup((asid, vpn >> 18))
-            else:
-                hit = self.cwc.pmd.lookup((asid, vpn >> 9))
-            if not hit:
-                cwt_latency = max(
-                    cwt_latency, self.hierarchy.walk_access(access.paddr)
-                )
-                issued += 1
-                if access.level == 6:
-                    self.cwc.pud.insert((asid, vpn >> 18))
-                else:
-                    self.cwc.pmd.insert((asid, vpn >> 9))
-        # All cuckoo probes are issued in parallel: latency is the
+        # All cuckoo probes are issued in parallel too: latency is the
         # slowest probe, traffic is every probe (the "two unnecessary
         # fetches per translation").
+        cwt_latency = 0
         probe_latency = 0
         for access in result.accesses:
-            if access.kind is not AccessKind.PT_LEAF:
-                continue
-            probe_latency = max(
-                probe_latency, self.hierarchy.walk_access(access.paddr)
-            )
-            issued += 1
-        poison_now = self.cwc.poison_detections
+            kind = access.kind
+            if kind is _PT_LEAF:
+                cycles = walk_access(access.paddr)
+                if cycles > probe_latency:
+                    probe_latency = cycles
+                issued += 1
+            elif kind is _CWT:
+                if access.level == 6:
+                    lru, key = pud, (asid, vpn >> 18)
+                else:
+                    lru, key = pmd, (asid, vpn >> 9)
+                if not lru.lookup(key):
+                    cycles = walk_access(access.paddr)
+                    if cycles > cwt_latency:
+                        cwt_latency = cycles
+                    issued += 1
+                    lru.insert(key)
+        cycles = latency + cwt_latency + probe_latency
+        poison_now = pud.poison_detections + pmd.poison_detections
         detected = poison_now - self._poison_seen
         if detected:
             self._poison_seen = poison_now
             self.poison_detections += detected
-            cycles += detected * self.cwc.latency
-        cycles += cwt_latency + probe_latency
+            cycles += detected * latency
         self.walks += 1
         self.total_cycles += cycles
         self.total_accesses += issued
@@ -182,8 +207,11 @@ class LVMWalker:
         self.recovered_walks = 0
         self.recovery_cycles = 0
         self._seen_flushes = index.stats.lwc_flushes
+        # Hot-path constant: the LWC's LRU set.
+        self._lwc_lru = self.lwc._lru
+        self._walk_access = hierarchy.walk_access
         # See RadixWalker: one cumulative snapshot per walk instead of a
-        # before/after property-call pair.
+        # before/after pair of counts.
         self._poison_seen = self.lwc.poison_detections
 
     def _sync_flushes(self, asid: int) -> None:
@@ -199,32 +227,36 @@ class LVMWalker:
         # before charging the walk so its node fetches see the
         # post-repair state.
         self._sync_flushes(asid)
+        lru = self._lwc_lru
+        latency = self.lwc.latency
         cycles = 0
         issued = 0
-        lwc = self.lwc
-        walk_access = self.hierarchy.walk_access
+        walk_access = self._walk_access
         for level, offset, paddr in trace.node_accesses:
             # Model evaluation + LWC lookup: 2 cycles (section 7.4).
-            cycles += lwc.latency
-            if not lwc.lookup(asid, level, offset):
+            cycles += latency
+            if not lru.lookup((asid, level, offset)):
                 cycles += walk_access(paddr)
                 issued += 1
-                lwc.fill_line(asid, level, offset)
+                # ``LWC.fill_line``: the fetched line's four models.
+                first = offset - offset % _MODELS_PER_LINE
+                for neighbour in range(first, first + _MODELS_PER_LINE):
+                    lru.insert((asid, level, neighbour))
         for paddr in trace.pte_line_paddrs:
             cycles += walk_access(paddr)
             issued += 1
-        poison_now = lwc.poison_detections
+        poison_now = lru.poison_detections
         detected = poison_now - self._poison_seen
         if detected:
             self._poison_seen = poison_now
             self.poison_detections += detected
-            cycles += detected * lwc.latency
+            cycles += detected * latency
         if trace.recovered:
             self.recovered_walks += 1
             # The degradation ladder's extra line fetches are already in
             # pte_line_paddrs; attribute everything past the first
             # (collision-free) translation access to recovery.
-            self.recovery_cycles += max(0, cycles - self.lwc.latency)
+            self.recovery_cycles += max(0, cycles - latency)
         self.walks += 1
         self.total_cycles += cycles
         self.total_accesses += issued

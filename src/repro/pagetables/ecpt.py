@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.mem.allocator import BumpAllocator, PhysicalAllocator
 from repro.types import (
+    BASE_PAGE_SHIFT,
     PTE,
     AccessKind,
     PageSize,
@@ -43,6 +44,12 @@ MAX_KICKS = 32
 PMD_REGION_PAGES = 512
 PUD_REGION_PAGES = 512 * 512
 CWT_ENTRY_BYTES = 8
+# Entries per CWT: region numbers wrap modulo this many.
+_CWT_ENTRIES = 1 << 17
+# The page sizes a PMD-level CWT entry records.
+_PMD_SIZES = (PageSize.SIZE_4K, PageSize.SIZE_2M)
+_CWT = AccessKind.CWT
+_PT_LEAF = AccessKind.PT_LEAF
 
 
 _VPN = attrgetter("vpn")
@@ -162,18 +169,6 @@ class _CuckooTable:
     @property
     def table_bytes(self) -> int:
         return self._capacity * self.ways * ENTRY_BYTES
-
-    def slot_paddr(self, way: int, slot: int) -> int:
-        return self._bases[way] + slot * ENTRY_BYTES
-
-    def probe_paddrs(self, vpn: int) -> List[Tuple[int, int, int]]:
-        """(way, slot, paddr) for all d candidate locations of a VPN."""
-        key = self.key_of(vpn)
-        probes = []
-        for w in range(self.ways):
-            slot = _way_hash(key, w, self._capacity)
-            probes.append((w, slot, self.slot_paddr(w, slot)))
-        return probes
 
     def lookup(self, vpn: int) -> Optional[PTE]:
         key = self.key_of(vpn)
@@ -319,45 +314,6 @@ class ECPT:
                 if not counts:
                     del table[region]
 
-    def sizes_in_region(self, vpn: int) -> List[PageSize]:
-        """Page sizes the CWTs say may map this VPN (probe trimming).
-
-        The PUD-level CWT (1 GB granularity) is consulted first: a
-        region holding a single page size is fully resolved there.
-        Only mixed regions need the finer PMD-level CWT.
-        """
-        pud_counts = self._pud_cwt.get(vpn // PUD_REGION_PAGES)
-        if not pud_counts:
-            return []
-        if len(pud_counts) == 1:
-            return list(pud_counts)
-        sizes: List[PageSize] = []
-        pmd_counts = self._pmd_cwt.get(vpn // PMD_REGION_PAGES)
-        if pmd_counts:
-            sizes.extend(
-                s for s in (PageSize.SIZE_4K, PageSize.SIZE_2M) if s in pmd_counts
-            )
-        if PageSize.SIZE_1G in pud_counts:
-            sizes.append(PageSize.SIZE_1G)
-        return sizes
-
-    def needs_pmd_cwt(self, vpn: int) -> bool:
-        """Whether the walk must also consult the PMD-level CWT."""
-        pud_counts = self._pud_cwt.get(vpn // PUD_REGION_PAGES)
-        return bool(pud_counts) and len(pud_counts) > 1
-
-    def pud_cwt_paddr(self, vpn: int) -> int:
-        return (
-            self._pud_cwt_base
-            + (vpn // PUD_REGION_PAGES) % (1 << 17) * CWT_ENTRY_BYTES
-        )
-
-    def pmd_cwt_paddr(self, vpn: int) -> int:
-        return (
-            self._pmd_cwt_base
-            + (vpn // PMD_REGION_PAGES) % (1 << 17) * CWT_ENTRY_BYTES
-        )
-
     # -- PageTable interface ---------------------------------------------
     def map(self, pte: PTE) -> None:
         table = self.tables[pte.page_size]
@@ -461,34 +417,58 @@ class ECPT:
 
     def walk(self, vpn: int) -> WalkResult:
         """Parallel cuckoo walk: CWT consult, then d probes per
-        candidate page size, all in one parallel group."""
+        candidate page size, all in one parallel group.
+
+        The PUD-level CWT (1 GB granularity) is consulted first: a
+        region holding a single page size is fully resolved there.
+        Only mixed regions also consult the finer PMD-level CWT, whose
+        entry names the 4 KB and 2 MB sizes present in its 2 MB region
+        (1 GB pages are probed whenever the PUD entry lists them).
+        Level 6 tags the PUD-CWT access, level 5 the PMD-CWT one (for
+        the CWC's benefit)."""
         self.stats.lookups += 1
-        accesses: List[WalkAccess] = []
-        # Level 6 = PUD CWT, level 5 = PMD CWT (for the CWC's benefit).
-        accesses.append(WalkAccess(self.pud_cwt_paddr(vpn), AccessKind.CWT, level=6))
-        if self.needs_pmd_cwt(vpn):
-            accesses.append(
-                WalkAccess(self.pmd_cwt_paddr(vpn), AccessKind.CWT, level=5)
+        pud = vpn // PUD_REGION_PAGES
+        accesses = [
+            WalkAccess(
+                self._pud_cwt_base + pud % _CWT_ENTRIES * CWT_ENTRY_BYTES,
+                _CWT, 6,
             )
-        sizes = self.sizes_in_region(vpn)
-        found: Optional[PTE] = None
-        group = 0
-        for size in sizes:
-            table = self.tables[size]
-            for way, slot, paddr in table.probe_paddrs(vpn):
-                accesses.append(
-                    WalkAccess(paddr, AccessKind.PT_LEAF, level=1, parallel_group=group)
+        ]
+        pud_counts = self._pud_cwt.get(pud)
+        if not pud_counts or len(pud_counts) == 1:
+            sizes = pud_counts or ()
+        else:
+            pmd = vpn // PMD_REGION_PAGES
+            accesses.append(
+                WalkAccess(
+                    self._pmd_cwt_base + pmd % _CWT_ENTRIES * CWT_ENTRY_BYTES,
+                    _CWT, 5,
                 )
-                entry = table._slots[way][slot]
-                if (
-                    entry is not None
-                    and table.key_of(entry.vpn) == table.key_of(vpn)
-                    and entry.covers(vpn)
-                ):
-                    found = entry
-        self.stats.probes_issued += sum(
-            1 for a in accesses if a.kind is AccessKind.PT_LEAF
-        )
+            )
+            pmd_counts = self._pmd_cwt.get(pmd) or ()
+            sizes = [s for s in _PMD_SIZES if s in pmd_counts]
+            if PageSize.SIZE_1G in pud_counts:
+                sizes.append(PageSize.SIZE_1G)
+        found: Optional[PTE] = None
+        append = accesses.append
+        tables = self.tables
+        for size in sizes:
+            table = tables[size]
+            pages = table._pages
+            key = vpn // pages
+            capacity = table._capacity
+            for way, row, base in zip(range(table.ways), table._slots, table._bases):
+                slot = _way_hash(key, way, capacity)
+                append(WalkAccess(base + slot * ENTRY_BYTES, _PT_LEAF, 1, 0))
+                entry = row[slot]
+                if entry is not None:
+                    first = entry.vpn
+                    if (
+                        first // pages == key
+                        and first <= vpn < first + (entry.page_size >> BASE_PAGE_SHIFT)
+                    ):
+                        found = entry
+            self.stats.probes_issued += table.ways
         return WalkResult(found, accesses)
 
     def find(self, vpn: int) -> Optional[PTE]:

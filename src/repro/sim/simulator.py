@@ -33,7 +33,7 @@ from repro.mmu.mmu import MMU
 from repro.schemes import registry
 from repro.sim.config import SimConfig
 from repro.sim.results import SimResult
-from repro.types import BASE_PAGE_SIZE, TranslationError
+from repro.types import BASE_PAGE_SHIFT, BASE_PAGE_SIZE, TranslationError
 from repro.workloads.compile import CompiledTrace, compiled_trace_for
 from repro.workloads.registry import BuiltWorkload
 from repro.workloads.trace_cache import cache_for_config
@@ -182,7 +182,11 @@ class Simulator(TranslationStack):
             if verify:
                 self._verify_translation(va, pte)
             mmu_cycles += tcycles
-            data_stall += access(pte.translate(va))
+            # ``pte.translate(va)``, inlined.
+            base_va = pte.vpn << BASE_PAGE_SHIFT
+            data_stall += access(
+                pte.ppn * BASE_PAGE_SIZE + (va - (base_va - base_va % pte.page_size))
+            )
         return data_stall, mmu_cycles
 
     def _verify_translation(self, va: int, pte) -> None:

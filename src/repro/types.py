@@ -38,6 +38,14 @@ BASE_PAGE_SIZE = 1 << BASE_PAGE_SHIFT
 CACHE_LINE_SIZE = 64
 PTE_SIZE = 8
 
+# A PTE's integrity tag is ``(vpn * PTE_TAG_VPN_MULT + ppn *
+# PTE_TAG_PPN_MULT + page_size) & PTE_TAG_MASK``.  :class:`PTE` computes
+# it; the in-leaf searches of :mod:`repro.core.gapped_page_table` check
+# it inline.
+PTE_TAG_VPN_MULT = 0x9E3779B97F4A7C15
+PTE_TAG_PPN_MULT = 0xC2B2AE3D27D4EB4F
+PTE_TAG_MASK = 0xFFFFFFFF
+
 
 class PageSize(enum.IntEnum):
     """Page sizes supported by the translation schemes.
@@ -137,8 +145,8 @@ class PTE:
         # page-table entries.  ``accessed``/``dirty``/``perms`` mutate
         # legitimately and are excluded.  Inlined :meth:`_integrity_tag`.
         self._tag = (
-            vpn * 0x9E3779B97F4A7C15 + ppn * 0xC2B2AE3D27D4EB4F + page_size
-        ) & 0xFFFFFFFF
+            vpn * PTE_TAG_VPN_MULT + ppn * PTE_TAG_PPN_MULT + page_size
+        ) & PTE_TAG_MASK
 
     def __eq__(self, other) -> bool:
         if other.__class__ is self.__class__:
@@ -167,10 +175,8 @@ class PTE:
         # adding its ``.value``, without the enum descriptor call that
         # bulk population would pay once per page.
         return (
-            self.vpn * 0x9E3779B97F4A7C15
-            + self.ppn * 0xC2B2AE3D27D4EB4F
-            + self.page_size
-        ) & 0xFFFFFFFF
+            self.vpn * PTE_TAG_VPN_MULT + self.ppn * PTE_TAG_PPN_MULT + self.page_size
+        ) & PTE_TAG_MASK
 
     def is_intact(self) -> bool:
         """Whether the entry passes its integrity check (no bit flips in

@@ -94,6 +94,24 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="walker_entry"):
             HierarchyConfig(walker_entry="l9").validate()
 
+    def test_cache_size_must_be_whole_sets(self):
+        """A size that is not a multiple of ways x 64 B is refused by
+        ``validate``, before the stack's ``Cache`` would refuse it with
+        a bare ``ValueError``."""
+        from repro.mmu.hierarchy import HierarchyConfig, MemoryHierarchy
+        from repro.sim import SimConfig
+
+        for bad in (HierarchyConfig(l2_size=1_000_000),
+                    HierarchyConfig(l1_size=32 * 1024 + 64),
+                    HierarchyConfig(l3_size=2 << 20, l3_ways=12)):
+            with pytest.raises(ConfigError, match="whole number of sets"):
+                bad.validate()
+            with pytest.raises(ConfigError):
+                SimConfig(hierarchy=bad).validate()
+        good = HierarchyConfig(l3_size=3 << 20, l3_ways=12)
+        good.validate()
+        assert MemoryHierarchy(good).l3.num_sets == 4096
+
     def test_bad_tlb_geometry(self):
         from repro.mmu.tlb import TLBConfig
 

@@ -3,7 +3,7 @@
 from dataclasses import dataclass
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.types import (
     PTE,
@@ -92,6 +92,23 @@ class TestPTE:
         assert pte.perms == Permission.RW
 
 
+class TestIntegrityTag:
+    @settings(max_examples=300, deadline=None)
+    @given(vpn=st.integers(min_value=0, max_value=(1 << 35) - 1),
+           ppn=st.integers(min_value=0, max_value=(1 << 40) - 1),
+           size=st.sampled_from(list(PageSize)),
+           fld=st.sampled_from(["vpn", "ppn"]),
+           bit=st.integers(min_value=0, max_value=63))
+    @example(vpn=0, ppn=0, size=PageSize.SIZE_4K, fld="vpn", bit=32)
+    @example(vpn=0, ppn=0, size=PageSize.SIZE_4K, fld="ppn", bit=39)
+    def test_every_single_bit_flip_is_detected(self, vpn, ppn, size, fld, bit):
+        """A flip of any one of bits 0-63 of ``vpn`` or ``ppn`` fails
+        the integrity check (the fault injector flips bits 0-39)."""
+        pte = PTE(vpn, ppn, size)
+        assert pte.is_intact()
+        assert not pte.with_bitflip(fld, bit).is_intact()
+
+
 class TestWalkResult:
     def test_hit_and_miss(self):
         assert WalkResult(PTE(vpn=0, ppn=0), []).hit
@@ -104,8 +121,8 @@ class TestWalkResult:
 
 def _dataclass_pte():
     """The dataclass ``PTE`` that the slotted class replaced, as it
-    was: the reference for equality, repr, the integrity tag and bit
-    flips."""
+    was but for the integrity tag's mask (32 bits then, 64 now): the
+    reference for equality, repr, the integrity tag and bit flips."""
 
     @dataclass
     class PTE:
@@ -125,7 +142,7 @@ def _dataclass_pte():
                 self.vpn * 0x9E3779B97F4A7C15
                 + self.ppn * 0xC2B2AE3D27D4EB4F
                 + self.page_size
-            ) & 0xFFFFFFFF
+            ) & 0xFFFFFFFFFFFFFFFF
 
         def is_intact(self) -> bool:
             return getattr(self, "_tag", None) == self._integrity_tag()

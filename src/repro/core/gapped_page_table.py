@@ -236,8 +236,8 @@ class GappedPageTable:
         fails its integrity check is never trusted: it flags the walk
         (``corrupt_seen``) and the search goes on.
 
-        The probes run outward from the predicted slot (clamped into
-        the table), then in :func:`_around`'s order.  The probed slots
+        The first probe is the predicted slot (clamped into the table);
+        the rest follow :func:`_around`'s order.  The probed slots
         always form one run, so a probe touches a new cache line
         exactly when its line lies outside the run's lines so far.
         """

@@ -17,14 +17,17 @@ CI step can gate on it directly.
 """
 
 import argparse
+import asyncio
 import os
 import signal
 import sys
 import zlib
 
-from repro.serve.client import ServeClient
+from repro.serve.client import AsyncServeClient
 
 PAGE = 4096
+#: Seconds any one request may take before the smoke gives up on it.
+TIMEOUT = 60.0
 
 
 def fail(message):
@@ -46,21 +49,27 @@ def pick_tenants(num_shards):
     return victim, bystander, shard_a
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--socket", required=True, help="server unix socket path")
-    parser.add_argument("--rounds", type=int, default=30, help="op rounds per tenant")
-    args = parser.parse_args(argv)
+async def smoke(args):
+    client = await AsyncServeClient.connect(args.socket)
 
-    client = ServeClient(args.socket)
-    stats = client.call("server_stats")
+    async def call(op, **payload):
+        return await asyncio.wait_for(client.call(op, **payload), TIMEOUT)
+
+    try:
+        await run_rounds(args, call)
+    finally:
+        await client.close()
+
+
+async def run_rounds(args, call):
+    stats = await call("server_stats")
     pids = stats["shards"]["pids"]
     if len(pids) < 2:
         fail(f"need >=2 shards for a blast-radius check, server has {len(pids)}")
     victim, bystander, victim_shard = pick_tenants(len(pids))
 
     for name in (victim, bystander):
-        client.call("create_tenant", args={"spec": {"name": name}})
+        await call("create_tenant", args={"spec": {"name": name}})
     print(
         f"serve_smoke: {victim!r} on shard {victim_shard} (to be killed), "
         f"{bystander!r} elsewhere"
@@ -71,21 +80,21 @@ def main(argv=None):
     bystander_errors = 0
     for round_no in range(args.rounds):
         if round_no == kill_at:
-            pid = client.call("server_stats")["shards"]["pids"][victim_shard]
+            pid = (await call("server_stats"))["shards"]["pids"][victim_shard]
             print(f"serve_smoke: SIGKILL shard {victim_shard} (pid {pid})")
             os.kill(pid, signal.SIGKILL)
         for name in (victim, bystander):
             base = 4096 + round_no * 64
             try:
-                client.call(
+                await call(
                     "mmap", tenant=name, args={"start_vpn": base, "pages": 16}
                 )
-                client.call(
+                await call(
                     "translate",
                     tenant=name,
                     args={"vas": [(base + i) * PAGE for i in range(16)]},
                 )
-                client.call("munmap", tenant=name, args={"start_vpn": base})
+                await call("munmap", tenant=name, args={"start_vpn": base})
                 issued[name] += 3
             except Exception as exc:  # noqa: BLE001 - smoke records, then judges
                 if name == bystander:
@@ -106,7 +115,7 @@ def main(argv=None):
         fail(f"bystander tenant saw {bystander_errors} errors; blast radius leaked")
 
     for name in (victim, bystander):
-        tstats = client.call("stats", tenant=name, args={})
+        tstats = await call("stats", tenant=name, args={})
         if tstats["ops"] != issued[name] or tstats["last_seq"] != issued[name]:
             fail(
                 f"tenant {name!r} lost history: ops={tstats['ops']} "
@@ -116,7 +125,7 @@ def main(argv=None):
         if tstats["quarantined"]:
             fail(f"tenant {name!r} unexpectedly quarantined: {tstats['quarantined']}")
 
-    stats = client.call("server_stats")
+    stats = await call("server_stats")
     recoveries = stats["shards"]["recoveries"]
     if not any(r["shard"] == victim_shard for r in recoveries):
         fail(f"no recorded recovery for shard {victim_shard}: {recoveries!r}")
@@ -126,12 +135,19 @@ def main(argv=None):
     if victim not in recovery["restored"]:
         fail(f"recovery did not restore {victim!r}: {recovery!r}")
 
-    client.close()
     print(
         f"serve_smoke: OK — {victim!r} reconstructed after SIGKILL "
         f"({recovery['seconds'] * 1e3:.0f} ms recovery), "
         f"{bystander!r} saw zero errors across {issued[bystander]} ops"
     )
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--socket", required=True, help="server unix socket path")
+    parser.add_argument("--rounds", type=int, default=30, help="op rounds per tenant")
+    args = parser.parse_args(argv)
+    asyncio.run(smoke(args))
     return 0
 
 

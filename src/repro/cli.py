@@ -422,25 +422,9 @@ def cmd_serve(args) -> None:
     asyncio.run(serve())
 
 
-def cmd_serve_bench(args) -> None:
-    """Run the four serving-layer scenarios; write BENCH_serve.json."""
-    import json
-
-    from repro.serve.bench import run_serve_bench, write_bench_json
-
-    scheme = (args.schemes or "lvm").split(",")[0]
-    results = run_serve_bench(quick=args.quick, scheme=scheme)
-    write_bench_json(results, args.bench_out)
-    print(json.dumps(results["headline"], indent=2))
-    print(f"wrote {args.bench_out}", file=sys.stderr)
-    if not results["ok"]:
-        raise ReproError("a serving-layer scenario failed its assertion")
-
-
 COMMANDS = {
     "cache": cmd_cache,
     "serve": cmd_serve,
-    "serve-bench": cmd_serve_bench,
     "chaos": cmd_chaos,
     "fig2": cmd_fig2,
     "fig3": cmd_fig3,
@@ -568,15 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
              "does not bring its own plan (--fault-rate/--fault-seed); "
              "a tenant corrupted past the recovery ladder is "
              "quarantined, others are unaffected",
-    )
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="serve-bench: CI-sized scenario counts instead of the "
-             "full >=100k-request replay",
-    )
-    parser.add_argument(
-        "--bench-out", default="BENCH_serve.json", metavar="PATH",
-        help="serve-bench output file (default BENCH_serve.json)",
     )
     parser.add_argument("--verbose", action="store_true")
     return parser

@@ -9,14 +9,15 @@ rescaling techniques of section 4.3.4 to avoid retraining; multiple
 page sizes share one structure via slope encoding (section 4.4).
 
 The authoritative set of live mappings is kept alongside the learned
-structure (the OS keeps the equivalent in its VMA/rmap metadata); it is
-consulted only for rebuilds, never on the lookup path.
+structure (the OS keeps the equivalent in its VMA/rmap metadata).
+Rebuilds and the OS's software lookups (:meth:`find`) read it; a
+hardware lookup reads it only after a failed or damaged probe.
 """
 
 from __future__ import annotations
 
 import time
-from bisect import insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -544,7 +545,7 @@ class LearnedIndex:
         A plain demand-fault miss returns unchanged, which keeps
         fault-free runs bit-identical to the no-injector baseline.
         """
-        auth = self._covering_mapping(vpn)
+        auth = self.find(vpn)
         if not probe.corrupt_seen and auth is None:
             return LVMWalk(None, node_accesses, probe.line_paddrs)
         line_paddrs = list(probe.line_paddrs)
@@ -579,17 +580,6 @@ class LearnedIndex:
                 "unreachable after a full index rebuild"
             )
         return LVMWalk(pte, node_accesses, line_paddrs, recovered=True)
-
-    def _covering_mapping(self, vpn: int) -> Optional[PTE]:
-        """The authoritative mapping covering ``vpn``, if any."""
-        from bisect import bisect_right
-
-        vpns = self._sorted_vpns
-        idx = bisect_right(vpns, vpn) - 1
-        if idx < 0:
-            return None
-        pte = self._mappings[vpns[idx]]
-        return pte if pte.covers(vpn) else None
 
     def _auth_entries_in(self, lo: int, hi: int) -> List[PTE]:
         """Authoritative mappings whose rebased range intersects
@@ -641,23 +631,17 @@ class LearnedIndex:
         return leaf.search_window + leaf.table.max_displacement + 2
 
     def find(self, vpn: int) -> Optional[PTE]:
-        """Software lookup without walk accounting (OS accesses to the
-        accessed/dirty bits, permission changes — section 5.2)."""
-        if self.root is None:
+        """Software lookup (OS accesses to the accessed/dirty bits,
+        permission changes — section 5.2): the authoritative mapping
+        covering ``vpn``, if any.  It reads the OS's own records, not
+        the learned structure, so it charges no walk and repairs
+        nothing; damage is found and repaired by :meth:`lookup`."""
+        vpns = self._sorted_vpns
+        idx = bisect_right(vpns, vpn) - 1
+        if idx < 0:
             return None
-        key = self.rebaser.rebase(vpn)
-        leaf = self._leaf_for(key)
-        result = self._leaf_probe(leaf, key, vpn)
-        if result.pte is not None and not result.corrupt_seen:
-            return result.pte
-        # The learned structure may be damaged; the OS answers from its
-        # authoritative records and repairs the leaf in place.
-        auth = self._covering_mapping(vpn)
-        if result.corrupt_seen or (result.pte is None and auth is not None):
-            if not self._repair_leaf(leaf):
-                self._rebuild()
-                self.stats.recovered_rebuilds += 1
-        return result.pte if result.pte is not None else auth
+        pte = self._mappings[vpns[idx]]
+        return pte if pte.covers(vpn) else None
 
     # ------------------------------------------------------------------
     # Insertion (section 4.3.4)
@@ -912,8 +896,6 @@ class LearnedIndex:
         return pte
 
     def _index_of_sorted(self, vpn: int) -> int:
-        from bisect import bisect_left
-
         idx = bisect_left(self._sorted_vpns, vpn)
         if idx >= len(self._sorted_vpns) or self._sorted_vpns[idx] != vpn:
             raise TranslationError(f"VPN {vpn:#x} missing from sorted set")

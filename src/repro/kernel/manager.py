@@ -140,19 +140,6 @@ class LVMManager:
             )
         return self.index.mappings()
 
-    def audit(self, address_space) -> int:
-        """Reconciliation audit against the OS's VMA records: drop
-        index translations no VMA covers (lost munmap events).
-        Returns the number of stale translations removed."""
-        stale = [
-            pte.vpn
-            for pte in self.index.mappings()
-            if address_space.find(pte.vpn) is None
-        ]
-        for vpn in stale:
-            self.index.remove(vpn)
-        return len(stale)
-
     # -- software PTE updates (section 5.2, "Software lookup") ---------
     def set_accessed(self, vpn: int) -> None:
         pte = self.index.find(vpn)

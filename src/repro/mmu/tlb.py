@@ -117,9 +117,10 @@ class TLBConfig:
                     f"{entries_name}={entries} needs at least one set "
                     f"({ways_name}={ways})"
                 )
-        if self.l2_latency < 0:
+        if self.l2_latency < 1:
+            # ``MMU.translate`` tells an L1 hit by its latency of 0.
             raise ConfigError(
-                f"l2_latency cannot be negative, got {self.l2_latency!r}"
+                f"l2_latency must be at least 1 cycle, got {self.l2_latency!r}"
             )
 
     @staticmethod
@@ -150,6 +151,7 @@ class TLBHierarchy:
 
     def __init__(self, config: Optional[TLBConfig] = None):
         c = config or TLBConfig()
+        c.validate()
         self.config = c
         self.l1 = {
             PageSize.SIZE_4K: TLBArray(

@@ -10,8 +10,9 @@ into the simulator.  The robustness machinery is the point:
 
 * **Admission control + load shedding** (``server.py``): bounded
   per-tenant and global queues, a reject-newest shed policy with typed
-  :class:`~repro.errors.ServerOverloadedError` frames, and per-tenant
-  quotas (max VMAs, refs/sec token bucket) enforced at the front end.
+  :class:`~repro.errors.ServerOverloadedError` frames, and the quotas
+  a tenant's spec sets (max VMAs, refs/sec token bucket) enforced at
+  the front end.
 * **Worker supervision + crash recovery** (``shards.py``/``shard.py``):
   heartbeat + deadline detection, kill-and-respawn of wedged shards,
   and bit-identical tenant reconstruction by replaying each tenant's
@@ -20,10 +21,13 @@ into the simulator.  The robustness machinery is the point:
   index is corrupted past the recovery ladder (``--chaos``) is
   quarantined with typed error frames; other tenants never notice.
 
-See ``docs/INTERNALS.md`` §13 for the architecture walk-through.
+Clients speak to the server through :class:`AsyncServeClient`
+(``client.py``).  ``tests/test_serve.py`` gates each pillar end to end;
+perfbench's serve-lvm workload measures the layer's speed.  See
+``docs/INTERNALS.md`` §13 for the architecture walk-through.
 """
 
-from repro.serve.client import AsyncServeClient, ServeClient
+from repro.serve.client import AsyncServeClient
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
     decode_error,
@@ -42,7 +46,6 @@ from repro.serve.traffic import TrafficConfig, TrafficReport, run_traffic
 __all__ = [
     "AsyncServeClient",
     "MAX_FRAME_BYTES",
-    "ServeClient",
     "ServePolicy",
     "ShardManager",
     "Tenant",

@@ -1,105 +1,26 @@
-"""Clients for the translation service.
+"""The client for the translation service.
 
-Two shapes over the same frames (:mod:`repro.serve.protocol`):
+:class:`AsyncServeClient` speaks the frames of
+:mod:`repro.serve.protocol` over asyncio, pipelined: requests are
+matched to responses by id, so many can be in flight on one
+connection; the traffic generator uses this to put real concurrency
+behind the admission controller.
 
-* :class:`ServeClient` — blocking, one request at a time.  What tests,
-  the CLI one-shots and simple scripts want: call, get the result, or
-  catch the rehydrated typed error.
-* :class:`AsyncServeClient` — asyncio, pipelined.  Requests are
-  matched to responses by id, so many can be in flight on one
-  connection; the traffic generator uses this to put real concurrency
-  behind the admission controller.
-
-Both raise the *typed* server error (:func:`decode_error`): a shed
-request surfaces as :class:`~repro.errors.ServerOverloadedError`, a
-poisoned tenant as :class:`~repro.errors.TenantQuarantinedError`, and
-so on — clients branch on exception class, never on message text.
+A failed request raises the *typed* server error (:func:`decode_error`):
+a shed request surfaces as :class:`~repro.errors.ServerOverloadedError`,
+a poisoned tenant as :class:`~repro.errors.TenantQuarantinedError`, and
+so on — callers branch on exception class, never on message text.
 """
 
 from __future__ import annotations
 
 import asyncio
-import socket
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.errors import ProtocolError
-from repro.serve.protocol import (
-    decode_error,
-    read_frame,
-    read_frame_sock,
-    write_frame,
-    write_frame_sock,
-)
+from repro.serve.protocol import decode_error, read_frame, write_frame
 
-__all__ = ["AsyncServeClient", "ServeClient"]
-
-
-class ServeClient:
-    """Blocking client: one connection, serial request/response."""
-
-    def __init__(self, socket_path: str, timeout: Optional[float] = 60.0):
-        self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        self._sock.settimeout(timeout)
-        self._sock.connect(socket_path)
-        self._next_id = 0
-
-    # -- plumbing ------------------------------------------------------
-
-    def call(self, op: str, **payload) -> dict:
-        self._next_id += 1
-        request = dict(payload, op=op, id=self._next_id)
-        write_frame_sock(self._sock, request)
-        response = read_frame_sock(self._sock)
-        if response is None:
-            raise ProtocolError("server closed the connection mid-request")
-        if response.get("ok"):
-            return response.get("result") or {}
-        raise decode_error(response.get("error") or {})
-
-    # -- convenience wrappers -----------------------------------------
-
-    def create_tenant(self, spec: dict) -> dict:
-        return self.call("create_tenant", args={"spec": spec})
-
-    def drop_tenant(self, name: str) -> dict:
-        return self.call("drop_tenant", args={"name": name})
-
-    def mmap(self, tenant: str, start_vpn: int, pages: int, name: str = "") -> dict:
-        return self.call(
-            "mmap",
-            tenant=tenant,
-            args={"start_vpn": start_vpn, "pages": pages, "name": name},
-        )
-
-    def munmap(self, tenant: str, start_vpn: int) -> dict:
-        return self.call("munmap", tenant=tenant, args={"start_vpn": start_vpn})
-
-    def translate(self, tenant: str, vas: List[int]) -> dict:
-        return self.call("translate", tenant=tenant, args={"vas": vas})
-
-    def stats(self, tenant: str) -> dict:
-        return self.call("stats", tenant=tenant, args={})
-
-    def digest(self, tenant: str) -> dict:
-        return self.call("digest", tenant=tenant, args={})
-
-    def server_stats(self) -> dict:
-        return self.call("server_stats")
-
-    def ping(self) -> dict:
-        return self.call("ping")
-
-    def close(self) -> None:
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-
-    def __enter__(self) -> "ServeClient":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+__all__ = ["AsyncServeClient"]
 
 
 class AsyncServeClient:

@@ -17,12 +17,10 @@ rejected request provably mutated nothing):
   :class:`~repro.errors.ServerOverloadedError` frame — reject-newest,
   because the requests already admitted are the ones closest to
   completing.
-* **Latency shedding.**  A rolling window of response latencies feeds
-  a p99 estimate; when it crosses ``shed_p99_ms`` the server sheds
-  mutating load until the tail drains.
-* **Per-tenant quotas.**  ``max_vmas`` bounds address-space size
-  (checked against the front end's VMA ledger) and ``max_refs_per_sec``
-  is a token bucket over translate batch sizes; both reject with
+* **Per-tenant quotas.**  A tenant's spec may set ``max_vmas``, which
+  bounds its address-space size (checked against the front end's VMA
+  ledger), and ``max_refs_per_sec``, a token bucket over translate
+  batch sizes; both reject with
   :class:`~repro.errors.QuotaExceededError`.
 
 A tenant the shards report quarantined is cached here and fast-failed
@@ -51,7 +49,7 @@ from repro.errors import (
 )
 from repro.serve.protocol import error_payload, read_frame, write_frame
 from repro.serve.shards import ShardManager
-from repro.serve.tenant import MUTATING_OPS, TenantSpec
+from repro.serve.tenant import MUTATING_OPS, READONLY_OPS, TenantSpec
 
 __all__ = ["ServePolicy", "TranslationServer"]
 
@@ -64,12 +62,6 @@ class ServePolicy:
     #: Admission bounds (reject-newest shedding past either).
     max_global_inflight: int = 64
     max_tenant_inflight: int = 16
-    #: Latency shed threshold in milliseconds; None disables.
-    shed_p99_ms: Optional[float] = None
-    latency_window: int = 256
-    #: Default per-tenant quotas (a tenant's spec may set its own).
-    max_vmas: Optional[int] = None
-    max_refs_per_sec: Optional[float] = None
     #: Supervision cadence.
     heartbeat_interval: float = 1.0
     shard_deadline: float = 10.0
@@ -98,12 +90,15 @@ class _TenantEntry:
     order_lock: asyncio.Lock = field(default_factory=asyncio.Lock)
 
 
+#: Response latencies kept for the p50/p99 of ``server_stats``.
+LATENCY_WINDOW = 256
+
+
 @dataclass
 class ServerStats:
     requests: int = 0
     served: int = 0
     shed_overload: int = 0
-    shed_latency: int = 0
     quota_rejects: int = 0
     quarantine_rejects: int = 0
     errors: int = 0
@@ -138,11 +133,9 @@ class TranslationServer:
         self.tenants: Dict[str, _TenantEntry] = {}
         self.quarantined: Dict[str, str] = {}
         self.stats = ServerStats()
-        self._latencies: Deque[float] = deque(maxlen=policy.latency_window)
+        self._latencies: Deque[float] = deque(maxlen=LATENCY_WINDOW)
         self._inflight = 0
         self._server: Optional[asyncio.AbstractServer] = None
-        #: Tenant names re-hosted from journals by :meth:`start`.
-        self.adopted: list = []
 
     # -- lifecycle -----------------------------------------------------
 
@@ -152,7 +145,7 @@ class TranslationServer:
         # *before* the listener exists: a client connecting right
         # after restart must never see UnknownTenantError for a
         # tenant whose journal survives.
-        self.adopted = await self.adopt_journaled_tenants()
+        await self.adopt_journaled_tenants()
         self._server = await asyncio.start_unix_server(
             self._serve_client, path=self.socket_path
         )
@@ -237,8 +230,7 @@ class TranslationServer:
     # -- dispatch ------------------------------------------------------
 
     async def handle(self, request: dict) -> dict:
-        """The op switch, shared by socket clients and in-process
-        callers (the bench drives a server object directly in tests)."""
+        """The op switch behind every socket request."""
         op = request.get("op")
         self.stats.requests += 1
         if op == "ping":
@@ -256,7 +248,7 @@ class TranslationServer:
             return await self.shards.request(
                 shard, {"op": "sleep", "args": request.get("args") or {}}
             )
-        if op in MUTATING_OPS or op in ("stats", "digest"):
+        if op in MUTATING_OPS or op in READONLY_OPS:
             return await self._tenant_op(op, request)
         raise ProtocolError(f"unknown op {op!r}")
 
@@ -285,7 +277,7 @@ class TranslationServer:
         self.tenants[spec.name] = _TenantEntry(spec=spec, shard=shard)
         return result
 
-    async def adopt_journaled_tenants(self) -> list:
+    async def adopt_journaled_tenants(self) -> None:
         """Whole-server restart: re-host every tenant whose journal
         survives in ``journal_dir``.
 
@@ -294,8 +286,7 @@ class TranslationServer:
         replays its tenants' journals, and the front end rebuilds the
         bookkeeping a shard cannot: seq counters resume from the
         replayed ``last_seq``, the VMA ledger from the rebuilt address
-        space, and quarantines re-enter the fast-fail cache.  Returns
-        the adopted tenant names.
+        space, and quarantines re-enter the fast-fail cache.
         """
         from repro.serve.tenant_journal import list_tenants, read_spec
 
@@ -303,7 +294,6 @@ class TranslationServer:
         for name in list_tenants(self.journal_dir):
             if name not in self.tenants:
                 by_shard.setdefault(self.shards.shard_of(name), []).append(name)
-        adopted = []
         for shard, names in sorted(by_shard.items()):
             self.shards.tenants_by_shard[shard].update(names)
             restored = await self.shards.request(
@@ -323,10 +313,8 @@ class TranslationServer:
                 )
                 entry.vmas = int(stats.get("vmas", 0))
                 self.tenants[name] = entry
-                adopted.append(name)
             for name in restored.get("quarantined", []):
                 self.quarantined[name] = "quarantined during journal replay"
-        return adopted
 
     async def _drop_tenant(self, args: dict) -> dict:
         name = args.get("name")
@@ -424,18 +412,8 @@ class TranslationServer:
                 f"tenant {entry.spec.name!r} queue full "
                 f"({entry.inflight} in flight); retry later"
             )
-        if policy.shed_p99_ms is not None and op in MUTATING_OPS:
-            p99 = self.latency_p99_ms()
-            if p99 is not None and p99 > policy.shed_p99_ms:
-                self.stats.shed_latency += 1
-                raise ServerOverloadedError(
-                    f"p99 latency {p99:.1f} ms over the "
-                    f"{policy.shed_p99_ms:.1f} ms shed threshold; retry later"
-                )
         if op == "mmap":
             max_vmas = entry.spec.max_vmas
-            if max_vmas is None:
-                max_vmas = policy.max_vmas
             if max_vmas is not None and entry.vmas >= max_vmas:
                 self.stats.quota_rejects += 1
                 raise QuotaExceededError(
@@ -444,8 +422,6 @@ class TranslationServer:
                 )
         if op == "translate":
             rate = entry.spec.max_refs_per_sec
-            if rate is None:
-                rate = policy.max_refs_per_sec
             if rate is not None:
                 self._take_tokens(entry, rate, len(args.get("vas") or []))
 
@@ -505,7 +481,9 @@ class TranslationServer:
             "requests": self.stats.requests,
             "served": self.stats.served,
             "shed_overload": self.stats.shed_overload,
-            "shed_latency": self.stats.shed_latency,
+            # No latency shed exists; perfbench's serve workload still
+            # sums this key into its shed count.
+            "shed_latency": 0,
             "quota_rejects": self.stats.quota_rejects,
             "quarantine_rejects": self.stats.quarantine_rejects,
             "errors": self.stats.errors,

@@ -67,10 +67,6 @@ QUARANTINE_ERRORS = (
 #: Ops a tenant accepts.  ``MUTATING_OPS`` advance the tenant's journal
 #: sequence number and are replayed on recovery; read-only ops are not.
 MUTATING_OPS = ("mmap", "munmap", "translate")
-
-#: Digest walks every mapped page up to this many; larger tenants are
-#: digested at a deterministic stride sample (see ``_op_digest``).
-DIGEST_MAX_PAGES = 2048
 READONLY_OPS = ("stats", "digest")
 
 #: Exclusive upper bounds of client-supplied addresses: a VA must lie in
@@ -306,53 +302,30 @@ class Tenant(TranslationStack):
         tests' strongest equality check).
 
         The mapping walk goes through the VMA layer + ``find`` (the
-        only iteration every page-table scheme supports).  Up to
-        :data:`DIGEST_MAX_PAGES` mapped pages it visits every
-        translation, stepping over large pages; past that it probes a
-        deterministic stride sample plus each VMA's last page —
-        ``find`` against a sparse learned index can cost tens of
-        milliseconds per page, and an O(pages) walk at 10⁴⁺ pages
-        would outlast any sane shard heartbeat deadline.  The sample
-        is a pure function of the VMA layout, so live and replayed
-        tenants are always digested at identical probe points, and
-        the full counter set (walks, cycles, faults, table bytes)
-        rides along — state the sample misses still diverges there."""
+        only iteration every page-table scheme supports) and visits
+        every translation, stepping over large pages.  ``find`` is a
+        software lookup that charges and repairs nothing, so a digest
+        leaves the tenant's state as it found it."""
         mappings = []
         total_pages = sum(vma.pages for vma in self.process.address_space)
-        stride = max(1, -(-total_pages // DIGEST_MAX_PAGES))  # ceil div
         for vma in self.process.address_space:
-            if stride == 1:
-                vpn = vma.start_vpn
-                while vpn < vma.end_vpn:
-                    pte = self.page_table.find(vpn)
-                    if pte is not None and pte.vpn == vpn:
-                        mappings.append(
-                            (pte.vpn, pte.ppn, int(pte.page_size.pages_4k))
-                        )
-                        vpn += pte.page_size.pages_4k
-                    else:
-                        vpn += 1
-            else:
-                probes = list(range(vma.start_vpn, vma.end_vpn, stride))
-                if probes[-1] != vma.end_vpn - 1:
-                    probes.append(vma.end_vpn - 1)
-                for vpn in probes:
-                    pte = self.page_table.find(vpn)
-                    if pte is not None:
-                        mappings.append(
-                            (vpn, pte.vpn, pte.ppn, int(pte.page_size.pages_4k))
-                        )
-                    else:
-                        mappings.append((vpn, -1, -1, 0))
+            vpn = vma.start_vpn
+            while vpn < vma.end_vpn:
+                pte = self.page_table.find(vpn)
+                if pte is not None and pte.vpn == vpn:
+                    mappings.append((pte.vpn, pte.ppn, int(pte.page_size.pages_4k)))
+                    vpn += pte.page_size.pages_4k
+                else:
+                    vpn += 1
         return {
             "digest": record_digest(
                 {
                     "mappings": mappings,
                     "total_pages": total_pages,
-                    "stride": stride,
+                    # Recorded digests hash a stride of 1: keep it.
+                    "stride": 1,
                     "stats": self._op_stats(),
                 }
             ),
             "mappings": len(mappings),
-            "sampled": stride > 1,
         }

@@ -10,29 +10,22 @@ Determinism is load-bearing, not cosmetic: each tenant's op stream is
 a pure function of ``(config.seed, tenant name)``, so the recovery
 acceptance test can run the same mix twice — once uninterrupted, once
 with a shard SIGKILLed mid-run — and demand bit-identical tenant
-digests at the end.  The wall clock is used only to *measure* latency,
-never to decide what to send.
+digests at the end; nothing here reads the wall clock.
 
-Error accounting is typed: shed requests, quota rejects and
-quarantine rejections are counted per exception class (that is what
-the overload and chaos acceptance criteria assert on), while
-unexpected errors are kept separately and fail the run's health check.
+Error accounting is typed: shed requests are counted on their own,
+quarantine rejections and other typed errors per tenant (that is what
+the overload and chaos acceptance tests assert on), and unexpected
+errors separately, failing the run's health check.
 """
 
 from __future__ import annotations
 
 import asyncio
 import random
-import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.errors import (
-    QuotaExceededError,
-    ReproError,
-    ServerOverloadedError,
-    TenantQuarantinedError,
-)
+from repro.errors import ReproError, ServerOverloadedError
 from repro.serve.client import AsyncServeClient
 
 __all__ = ["TrafficConfig", "TrafficReport", "run_traffic"]
@@ -57,14 +50,12 @@ class TrafficConfig:
     concurrency: int = 4
     seed: int = 1
     scheme: str = "lvm"
-    tenant_prefix: str = "tenant"
-    #: Optional fault plan installed on tenants whose index ends in a
-    #: poisoned slot (chaos scenarios poison exactly one tenant).
+    #: Fault plans by tenant name, installed at creation (chaos
+    #: scenarios poison exactly one tenant).
     poison_tenants: Dict[str, dict] = field(default_factory=dict)
-    create_tenants: bool = True
 
     def tenant_names(self) -> List[str]:
-        return [f"{self.tenant_prefix}-{i}" for i in range(self.tenants)]
+        return [f"tenant-{i}" for i in range(self.tenants)]
 
 
 @dataclass
@@ -73,44 +64,11 @@ class TrafficReport:
 
     requests: int = 0
     ok: int = 0
-    refs: int = 0
     shed: int = 0
-    quota_rejected: int = 0
-    quarantine_rejected: int = 0
-    other_repro_errors: int = 0
     unexpected_errors: int = 0
-    elapsed_s: float = 0.0
-    latencies_ms: List[float] = field(default_factory=list)
+    #: Failed requests other than sheds (quarantine rejects, mostly).
     errors_by_tenant: Dict[str, int] = field(default_factory=dict)
     ok_by_tenant: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def rps(self) -> float:
-        return self.ok / self.elapsed_s if self.elapsed_s > 0 else 0.0
-
-    def percentile_ms(self, fraction: float) -> Optional[float]:
-        if not self.latencies_ms:
-            return None
-        ordered = sorted(self.latencies_ms)
-        return ordered[int(fraction * (len(ordered) - 1))]
-
-    def to_dict(self) -> dict:
-        return {
-            "requests": self.requests,
-            "ok": self.ok,
-            "refs": self.refs,
-            "shed": self.shed,
-            "quota_rejected": self.quota_rejected,
-            "quarantine_rejected": self.quarantine_rejected,
-            "other_repro_errors": self.other_repro_errors,
-            "unexpected_errors": self.unexpected_errors,
-            "elapsed_s": self.elapsed_s,
-            "rps": self.rps,
-            "p50_ms": self.percentile_ms(0.50),
-            "p99_ms": self.percentile_ms(0.99),
-            "errors_by_tenant": dict(self.errors_by_tenant),
-            "ok_by_tenant": dict(self.ok_by_tenant),
-        }
 
 
 def _zipf_ranks(rng: random.Random, alpha: float, n: int, count: int) -> List[int]:
@@ -203,29 +161,16 @@ async def _drive_tenant(
     pending = set()
 
     async def fire(op: dict) -> None:
-        started = time.monotonic()
         try:
-            result = await client.call(op["op"], tenant=name, args=op["args"])
+            await client.call(op["op"], tenant=name, args=op["args"])
             async with lock:
                 report.ok += 1
                 report.ok_by_tenant[name] = report.ok_by_tenant.get(name, 0) + 1
-                report.refs += result.get("refs", 0)
-                report.latencies_ms.append((time.monotonic() - started) * 1e3)
         except ServerOverloadedError:
             async with lock:
                 report.shed += 1
-        except QuotaExceededError:
-            async with lock:
-                report.quota_rejected += 1
-        except TenantQuarantinedError:
-            async with lock:
-                report.quarantine_rejected += 1
-                report.errors_by_tenant[name] = (
-                    report.errors_by_tenant.get(name, 0) + 1
-                )
         except ReproError:
             async with lock:
-                report.other_repro_errors += 1
                 report.errors_by_tenant[name] = (
                     report.errors_by_tenant.get(name, 0) + 1
                 )
@@ -267,21 +212,18 @@ async def run_traffic(socket_path: str, config: TrafficConfig) -> TrafficReport:
     names = config.tenant_names()
     per_tenant = max(1, config.requests // max(1, len(names)))
 
-    if config.create_tenants:
-        admin = await AsyncServeClient.connect(socket_path)
-        try:
-            for name in names:
-                spec = {"name": name, "scheme": config.scheme}
-                if name in config.poison_tenants:
-                    spec["fault_plan"] = config.poison_tenants[name]
-                await admin.call("create_tenant", args={"spec": spec})
-        finally:
-            await admin.close()
+    admin = await AsyncServeClient.connect(socket_path)
+    try:
+        for name in names:
+            spec = {"name": name, "scheme": config.scheme}
+            if name in config.poison_tenants:
+                spec["fault_plan"] = config.poison_tenants[name]
+            await admin.call("create_tenant", args={"spec": spec})
+    finally:
+        await admin.close()
 
-    started = time.monotonic()
     scripts = [_TenantScript(name, config, per_tenant) for name in names]
     await asyncio.gather(
         *(_drive_tenant(socket_path, s, report, lock) for s in scripts)
     )
-    report.elapsed_s = time.monotonic() - started
     return report

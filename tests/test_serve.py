@@ -5,8 +5,8 @@ recovery).
 The end-to-end tests start a real :class:`TranslationServer` — real
 unix socket, real forked shard workers, real write-ahead journals — in
 a temp directory and drive it with :class:`AsyncServeClient`.  They are
-sized for CI (hundreds of requests); ``repro serve-bench`` runs the
-same scenarios at acceptance scale.
+sized for CI (hundreds of requests) and are the serving layer's
+robustness gates; perfbench's serve-lvm workload measures its speed.
 """
 
 import asyncio

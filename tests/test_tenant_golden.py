@@ -69,6 +69,22 @@ def digest_after_script(spec: TenantSpec) -> str:
     return tenant.apply("digest", {})["digest"]
 
 
+def test_digest_is_read_only_under_faults():
+    """``digest`` is not journaled, so it must leave no trace: a tenant
+    that also serves a digest after every 5th op ends where the
+    undisturbed one does, counters included.  Under a fault plan a
+    software lookup that repaired leaves would count recoveries."""
+    spec = TenantSpec(name="golden", scheme="lvm", fault_plan=dict(FAULT_PLAN))
+    undisturbed, digested = Tenant(spec), Tenant(spec)
+    for i, (op, args) in enumerate(op_script(), start=1):
+        undisturbed.apply(op, args)
+        digested.apply(op, args)
+        if i % 5 == 0:
+            digested.apply("digest", {})
+    assert digested.apply("stats", {}) == undisturbed.apply("stats", {})
+    assert digested.apply("digest", {}) == undisturbed.apply("digest", {})
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN_PATH.read_text())

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import LearnedIndex
+from repro.errors import ConfigError
 from repro.mem.allocator import BumpAllocator
 from repro.mmu import (
     MMU,
@@ -14,6 +15,7 @@ from repro.mmu import (
     RadixWalker,
 )
 from repro.mmu.hierarchy import HierarchyConfig
+from repro.mmu.tlb import TLBConfig
 from repro.pagetables import ECPT, IdealPageTable, RadixPageTable
 from repro.types import PTE
 
@@ -158,3 +160,16 @@ class TestMMU:
         assert s.translations == 50
         assert s.walks + s.l1_tlb_hits + s.l2_tlb_hits == 50
         assert s.mmu_cycles == s.tlb_cycles + s.walk_cycles
+
+    def test_l2_tlb_hits_cost_at_least_one_cycle(self):
+        """``translate`` tells an L1 hit by its latency of 0, so a
+        0-cycle L2 would count its hits as L1 hits: 40 pages through
+        an 8-entry L1, then the first 8 again, which only the L2 holds."""
+        table, ptes = populated_radix()
+        geometry = dict(l1_4k_entries=8, l1_4k_ways=4, l2_entries_per_size=64, l2_ways=4)
+        with pytest.raises(ConfigError, match="l2_latency"):
+            MMU(RadixWalker(table, hierarchy()), TLBConfig(**geometry, l2_latency=0))
+        mmu = MMU(RadixWalker(table, hierarchy()), TLBConfig(**geometry, l2_latency=1))
+        for p in ptes[:40] + ptes[:8]:
+            mmu.translate(p.vpn << 12)
+        assert (mmu.stats.l1_tlb_hits, mmu.stats.l2_tlb_hits) == (0, 8)

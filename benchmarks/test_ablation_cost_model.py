@@ -7,34 +7,16 @@ contribution — the trade-offs section 4.2.3 describes qualitatively.
 
 from repro.analysis import render_table
 from repro.core import LearnedIndex, LVMConfig
-from repro.kernel.thp import plan_vma_mappings
 from repro.mem import BumpAllocator
+from repro.sim.simulator import TranslationStack
 from repro.types import PTE
 from repro.workloads import build_workload
 
 
-def mappings_for(name: str):
-    workload = build_workload(name)
-    ptes = []
-    ppn = 1 << 20
-    for vma in workload.vmas:
-        for plan in plan_vma_mappings(vma, thp=False):
-            ptes.append(PTE(vpn=plan.vpn, ppn=ppn, page_size=plan.page_size))
-            ppn += plan.page_size.pages_4k
-    return workload, ptes
-
-
-def build_with(config: LVMConfig, ptes):
-    from repro.core.rebase import AddressSpaceRebaser, cluster_regions
-
-    regions = cluster_regions(
-        [p.vpn for p in ptes], [p.page_size.pages_4k for p in ptes]
-    )
-    index = LearnedIndex(
-        BumpAllocator(), config, rebaser=AddressSpaceRebaser(regions)
-    )
-    index.bulk_build(ptes)
-    return index
+def build_with(config: LVMConfig, workload):
+    """The LVM index a process over ``workload``'s VMAs builds."""
+    stack = TranslationStack("lvm", vmas=workload.vmas, lvm_config=config)
+    return stack.manager.index
 
 
 def probe(index, workload, n=15_000):
@@ -47,11 +29,10 @@ def probe(index, workload, n=15_000):
 def test_ablation_x3_collision_weight(benchmark):
     """x3 trades index size for collision rate (equation 1)."""
     def run():
-        workload, ptes = mappings_for("MUMr")
+        workload = build_workload("MUMr")
         rows = []
         for x3 in (0.0, 20.0, 200.0, 2000.0):
-            config = LVMConfig(x3=x3)
-            index = build_with(config, ptes)
+            index = build_with(LVMConfig(x3=x3), workload)
             cr = probe(index, workload)
             rows.append((x3, index.index_size_bytes, cr))
         return rows
@@ -97,11 +78,10 @@ def test_ablation_ga_scale(benchmark):
 def test_ablation_d_limit(benchmark):
     """d_limit bounds worst-case walk length (section 4.2.3)."""
     def run():
-        workload, ptes = mappings_for("mem$")
+        workload = build_workload("mem$")
         rows = []
         for d_limit in (1, 2, 3, 4):
-            config = LVMConfig(d_limit=d_limit)
-            index = build_with(config, ptes)
+            index = build_with(LVMConfig(d_limit=d_limit), workload)
             cr = probe(index, workload, n=8_000)
             rows.append((d_limit, index.depth, index.index_size_bytes, cr))
         return rows

@@ -13,10 +13,8 @@ Run:  python examples/fragmented_datacenter.py
 
 from repro.analysis import bytes_human, render_table
 from repro.core.nodes import leaf_nodes
-from repro.kernel.manager import LVMManager
-from repro.kernel.thp import plan_vma_mappings
 from repro.mem import BuddyAllocator, datacenter_churn, measure_contiguity
-from repro.types import PTE
+from repro.sim.simulator import TranslationStack
 from repro.workloads import build_workload
 
 
@@ -37,16 +35,8 @@ def main() -> None:
     print("\nBuilding LVM for a memcached-style address space "
           "on the fragmented server...")
     workload = build_workload("mem$")
-    manager = LVMManager(buddy)
-    manager.begin_batch()
-    ppn = 1 << 20
-    for vma in workload.vmas:
-        for plan in plan_vma_mappings(vma, thp=False):
-            manager.map(PTE(vpn=plan.vpn, ppn=ppn, page_size=plan.page_size))
-            ppn += plan.page_size.pages_4k
-    manager.end_batch()
-
-    index = manager.index
+    stack = TranslationStack("lvm", vmas=workload.vmas, allocator=buddy)
+    index = stack.manager.index
     leaves = leaf_nodes(index.root)
     table_sizes = sorted(leaf.table.size_bytes for leaf in leaves)
     print(f"  index size     : {index.index_size_bytes} bytes")

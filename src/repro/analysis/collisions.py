@@ -17,11 +17,14 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.kernel.manager import LVMManager
-from repro.kernel.thp import plan_vma_mappings
+from repro.kernel.process import Process
 from repro.mem.allocator import BumpAllocator
 from repro.pagetables.ecpt import ECPT
 from repro.pagetables.hashed import HashedPageTable
-from repro.types import PTE, PTE_SIZE
+from repro.pagetables.radix import RadixPageTable
+from repro.sim.config import SimConfig
+from repro.sim.simulator import TranslationStack
+from repro.types import PTE_SIZE
 from repro.workloads.registry import BuiltWorkload, build_workload
 
 
@@ -38,25 +41,9 @@ class CollisionRow:
     index_peak_bytes: int
 
 
-def _mappings_for(workload: BuiltWorkload, thp: bool) -> List[PTE]:
-    """The PTE set a populated process would install."""
-    ptes: List[PTE] = []
-    ppn = 1 << 20
-    for vma in workload.vmas:
-        for plan in plan_vma_mappings(vma, thp):
-            ptes.append(PTE(vpn=plan.vpn, ppn=ppn, page_size=plan.page_size))
-            ppn += plan.page_size.pages_4k
-    return ptes
-
-
 def build_lvm_for(workload: BuiltWorkload, thp: bool = False) -> LVMManager:
     """An LVM manager populated with the workload's address space."""
-    manager = LVMManager(BumpAllocator())
-    manager.begin_batch()
-    for pte in _mappings_for(workload, thp):
-        manager.map(pte)
-    manager.end_batch()
-    return manager
+    return TranslationStack("lvm", SimConfig(thp=thp), vmas=workload.vmas).manager
 
 
 def collision_study(
@@ -69,18 +56,10 @@ def collision_study(
     """Measure LVM vs. Blake2-hash-table collision rates for one
     workload, driving both with the workload's own access trace."""
     workload = build_workload(workload_name, scale=scale, seed=seed)
-    mappings = _mappings_for(workload, thp)
-    manager = LVMManager(BumpAllocator())
-    manager.begin_batch()
-    for pte in mappings:
-        manager.map(pte)
-    manager.end_batch()
-    index = manager.index
+    index = build_lvm_for(workload, thp).index
     peak = index.index_size_bytes
-
     hash_table = HashedPageTable(BumpAllocator(), max_load=0.6)
-    for pte in mappings:
-        hash_table.map(pte)
+    Process(hash_table, thp=thp).mmap_all(workload.vmas)
 
     trace = workload.trace(num_lookups, seed + 1)
     vpns = (trace >> 12).astype(np.int64)
@@ -120,29 +99,16 @@ def memory_consumption_study(
 ) -> MemoryConsumptionRow:
     """Page-table space overhead versus the 8 B/translation minimum."""
     workload = build_workload(workload_name, scale=scale, seed=seed)
-    mappings = _mappings_for(workload, thp=False)
-    minimum = len(mappings) * PTE_SIZE
-
-    manager = LVMManager(BumpAllocator())
-    manager.begin_batch()
-    for pte in mappings:
-        manager.map(pte)
-    manager.end_batch()
-    lvm_bytes = manager.index.table_bytes + manager.index.index_size_bytes
-
-    ecpt = ECPT(BumpAllocator())
-    for pte in mappings:
-        ecpt.map(pte)
-
-    from repro.pagetables.radix import RadixPageTable
-
-    radix = RadixPageTable(BumpAllocator())
-    for pte in mappings:
-        radix.map(pte)
+    index = build_lvm_for(workload).index
+    minimum = index.num_mappings * PTE_SIZE
+    lvm_bytes = index.table_bytes + index.index_size_bytes
+    ecpt, radix = ECPT(BumpAllocator()), RadixPageTable(BumpAllocator())
+    for table in (ecpt, radix):
+        Process(table).mmap_all(workload.vmas)
 
     return MemoryConsumptionRow(
         workload=workload_name,
-        mapped_pages=len(mappings),
+        mapped_pages=index.num_mappings,
         minimum_bytes=minimum,
         lvm_overhead_bytes=max(0, lvm_bytes - minimum),
         ecpt_overhead_bytes=max(0, ecpt.table_bytes - minimum),

@@ -4,12 +4,7 @@ from repro.core.config import LVMConfig
 from repro.core.fixed_point import FixedPoint, FixedPointOverflow, linear_predict
 from repro.core.gapped_page_table import GappedPageTable, GPTFullError, GPTLookup
 from repro.core.learned_index import LearnedIndex, LVMStats, LVMWalk
-from repro.core.linear_model import (
-    LinearModel,
-    fit_even_division,
-    fit_least_squares,
-    max_abs_error,
-)
+from repro.core.linear_model import LinearModel, fit_even_division
 from repro.core.nodes import InternalNode, LeafNode
 from repro.core.spline import num_segments, spline_points
 
@@ -27,9 +22,7 @@ __all__ = [
     "LearnedIndex",
     "LinearModel",
     "fit_even_division",
-    "fit_least_squares",
     "linear_predict",
-    "max_abs_error",
     "num_segments",
     "spline_points",
 ]

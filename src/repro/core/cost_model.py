@@ -28,12 +28,11 @@ from repro.types import BASE_PAGE_SIZE, PTE_SIZE
 
 
 def fit_keys(keys: np.ndarray) -> LinearModel:
-    """Least-squares fit of sorted-position against key, vectorized.
+    """Least-squares fit of sorted-position against key.
 
-    Equivalent to :func:`repro.core.linear_model.fit_least_squares` but
-    operates on an int64 numpy array.  Keys are centered at their first
-    element so float64 accumulation stays exact enough for VPN-scale
-    inputs.
+    ``keys`` is a sorted int64 numpy array.  Keys are centered at their
+    first element so float64 accumulation stays exact enough for
+    VPN-scale inputs.
     """
     n = len(keys)
     if n == 0:

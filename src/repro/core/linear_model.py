@@ -6,8 +6,9 @@ Two flavours are needed:
   children, so the line is exact by construction;
 * *leaf models* are fit with least-squares regression over
   ``(VPN, position)`` pairs, then scaled by ``ga_scale`` to spread the
-  keys across a gapped array, and carry the max prediction error so
-  lookups can bound their search (section 4.3.3).
+  keys across a gapped array (``cost_model.fit_keys`` and
+  ``cost_model.scale_model``); the leaf records the max prediction
+  error so lookups can bound their search (section 4.3.3).
 
 All models store parameters in Q44.20 fixed point; predictions use only
 integer arithmetic, matching the hardware datapath.
@@ -16,7 +17,6 @@ integer arithmetic, matching the hardware datapath.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.core.fixed_point import linear_predict, quantize
 
@@ -43,13 +43,6 @@ class LinearModel:
     def intercept(self) -> float:
         return self.intercept_raw / (1 << 20)
 
-    def scaled(self, factor: float) -> "LinearModel":
-        """Multiply the whole line by ``factor`` (gapped-array scaling)."""
-        return LinearModel(
-            int(round(self.slope_raw * factor)),
-            int(round(self.intercept_raw * factor)),
-        )
-
 
 def fit_even_division(lo: int, hi: int, num_children: int) -> LinearModel:
     """Model mapping keys in ``[lo, hi)`` to child indexes ``0..n-1``.
@@ -66,45 +59,3 @@ def fit_even_division(lo: int, hi: int, num_children: int) -> LinearModel:
     intercept = -lo * slope
     return LinearModel.from_floats(slope, intercept)
 
-
-def fit_least_squares(keys: Sequence[int]) -> LinearModel:
-    """Least-squares fit of position-in-sorted-order against key.
-
-    ``keys`` must be sorted ascending.  Returns the line minimizing the
-    squared error of ``position = a*key + b``.  Uses plain Python
-    accumulation (exact integers) to avoid float trouble with 52-bit
-    VPNs before the final division.
-    """
-    n = len(keys)
-    if n == 0:
-        raise ValueError("cannot fit a model to zero keys")
-    if n == 1:
-        return LinearModel.from_floats(0.0, 0.0)
-    # Center keys at their first element so the sums stay small enough
-    # for exact float math; shift the intercept back afterwards.
-    base = keys[0]
-    sum_x = sum_xx = sum_xy = 0
-    sum_y = n * (n - 1) // 2
-    for pos, key in enumerate(keys):
-        x = key - base
-        sum_x += x
-        sum_xx += x * x
-        sum_xy += x * pos
-    denom = n * sum_xx - sum_x * sum_x
-    if denom == 0:
-        # All keys identical (cannot happen for valid VPN sets, but be
-        # robust): map everything to position 0.
-        return LinearModel.from_floats(0.0, 0.0)
-    slope = (n * sum_xy - sum_x * sum_y) / denom
-    intercept = (sum_y - slope * sum_x) / n - slope * base
-    return LinearModel.from_floats(slope, intercept)
-
-
-def max_abs_error(model: LinearModel, keys: Sequence[int]) -> int:
-    """Largest |predicted - actual| position over the sorted keys."""
-    worst = 0
-    for pos, key in enumerate(keys):
-        err = abs(model.predict(key) - pos)
-        if err > worst:
-            worst = err
-    return worst

@@ -34,7 +34,7 @@ class FaultKind(str, enum.Enum):
     #: Poison a resident LWC/PWC/CWC entry (walk-cache corruption).
     WALK_CACHE_CORRUPT = "walk_cache_corrupt"
     #: Drop or duplicate mmap/munmap events in the kernel stream to the
-    #: LVM agent.
+    #: page table (the agent, for LVM).
     KERNEL_EVENTS = "kernel_events"
 
 

@@ -8,7 +8,7 @@ from repro.kernel.kernel_space import (
 )
 from repro.kernel.manager import LVMManager, ManagementReport
 from repro.kernel.process import Process, ProcessStats
-from repro.kernel.thp import MappingPlan, plan_vma_mappings, summarize
+from repro.kernel.thp import plan_vma_runs
 from repro.kernel.vma import VMA, AddressSpace
 
 __all__ = [
@@ -19,10 +19,8 @@ __all__ = [
     "AddressSpace",
     "LVMManager",
     "ManagementReport",
-    "MappingPlan",
     "Process",
     "ProcessStats",
     "VMA",
-    "plan_vma_mappings",
-    "summarize",
+    "plan_vma_runs",
 ]

@@ -118,12 +118,6 @@ class LVMManager:
             self.map(pte)
 
     def unmap(self, vpn: int) -> PTE:
-        if self._batching:
-            for i, pte in enumerate(self._batched):
-                if pte.vpn == vpn:
-                    self._batched_vpns.discard(vpn)
-                    return self._batched.pop(i)
-            raise TranslationError(f"VPN {vpn:#x} is not mapped")
         return self.index.remove(vpn)
 
     def walk(self, vpn: int):
@@ -134,10 +128,6 @@ class LVMManager:
 
     def mappings(self) -> List[PTE]:
         """The authoritative mapping list, in VPN order."""
-        if self._batching:
-            return sorted(
-                self.index.mappings() + self._batched, key=lambda p: p.vpn
-            )
         return self.index.mappings()
 
     # -- software PTE updates (section 5.2, "Software lookup") ---------

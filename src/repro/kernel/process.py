@@ -15,7 +15,7 @@ from typing import Iterable, List, Optional
 
 from repro.errors import DuplicateMappingError
 from repro.kernel import invariants
-from repro.kernel.thp import MappingPlan, plan_vma_mappings, plan_vma_runs
+from repro.kernel.thp import plan_vma_runs
 from repro.kernel.vma import VMA, AddressSpace
 from repro.mem.allocator import BumpAllocator, PhysicalAllocator
 from repro.types import PTE, BASE_PAGE_SIZE, PageSize, TranslationError
@@ -61,49 +61,31 @@ class Process:
         # Data-page frame numbers, from 4 GiB above ``phys_base``.
         self._next_ppn = phys_base // BASE_PAGE_SIZE + (1 << 20)
 
-    # -- physical frames ----------------------------------------------
-    def _alloc_frames(self, page_size: PageSize) -> int:
-        """Assign physical frames for one mapping; returns the PPN.
-
-        Data frames come from a simple per-process cursor: what matters
-        for the translation study is the *page table* layout, and a
-        bump cursor gives all schemes identical data-cache behaviour.
-        """
-        ppn = self._next_ppn
-        self._next_ppn += page_size.pages_4k
-        return ppn
-
     # -- mapping ---------------------------------------------------------
     def mmap(self, vma: VMA, populate: bool = True) -> VMA:
         """Create a VMA; with ``populate`` pre-fault all of it (the
         simulator's region of interest starts after initialization)."""
-        self.address_space.mmap(vma)
         if populate:
-            self.populate(vma)
+            self.mmap_all((vma,))
+        else:
+            self.address_space.mmap(vma)
         return vma
 
-    def populate(self, vma: VMA) -> List[MappingPlan]:
-        plans = plan_vma_mappings(vma, self.thp, self.thp_coverage)
-        for plan in plans:
-            self._map_one(plan, vma)
-        return plans
-
     def mmap_all(self, vmas: Iterable[VMA]) -> None:
-        """``mmap(vma, populate=True)`` for each of ``vmas``, in order.
+        """Create each of ``vmas``, in order, and install translations
+        for all of their pages.
 
-        Without a fault injector, and when the page table has
-        ``map_many``, every page goes to the table in one
-        ``map_many(ptes)`` call: the same PTEs, frames and stats as the
-        per-page path, built without a plan object or an event delivery
-        per page.  Injected event faults need the per-page path.
+        ``plan_vma_runs`` decides each VMA's mix of huge and 4 KB
+        mappings.  Data frames come from a per-process bump cursor:
+        what matters for the translation study is the *page table*
+        layout, and a cursor gives all schemes identical data-cache
+        behaviour.  On a clean event stream the PTEs reach the table in
+        one ``map_many`` call; under a fault injector, or for a table
+        without ``map_many``, each PTE is one map event, which the
+        injector may drop or replay.
         """
-        map_many = getattr(self.page_table, "map_many", None)
-        if map_many is None or self.injector is not None:
-            for vma in vmas:
-                self.mmap(vma, populate=True)
-            return
         ptes: List[PTE] = []
-        stats = self.stats
+        pages = huge = 0
         for vma in vmas:
             self.address_space.mmap(vma)
             for first, count, size in plan_vma_runs(
@@ -122,33 +104,36 @@ class Process:
                     )
                 )
                 self._next_ppn += span
-                stats.mapped_pages += span
+                pages += span
                 if size is not PageSize.SIZE_4K:
-                    stats.huge_mappings += count
+                    huge += count
+        map_many = getattr(self.page_table, "map_many", None)
+        if map_many is None or self.injector is not None:
+            for pte in ptes:
+                self._map_event(pte)
+            return
         map_many(ptes)
+        self.stats.mapped_pages += pages
+        self.stats.huge_mappings += huge
 
-    def _map_one(self, plan: MappingPlan, vma: VMA, faulting: bool = False) -> PTE:
-        ppn = self._alloc_frames(plan.page_size)
-        pte = PTE(
-            vpn=plan.vpn, ppn=ppn, page_size=plan.page_size, perms=vma.perms
-        )
+    def _map_event(self, pte: PTE, droppable: bool = True) -> None:
+        """Deliver one map event through the (possibly faulty) stream."""
         inj = self.injector
-        if inj is not None and not faulting and inj.drop_kernel_event():
+        if inj is not None and droppable and inj.drop_kernel_event():
             # The async map event was lost before reaching the agent:
             # the VMA record stands, so demand faults remap on first
             # touch.  (Fault-time maps are synchronous — never dropped.)
             self.stats.dropped_mmap_events += 1
-            return pte
+            return
         self._deliver_map(pte)
         if inj is not None and inj.duplicate_kernel_event():
             # The event was replayed; the duplicate must bounce off the
             # page table's duplicate-mapping guard.
             self.stats.duplicate_events += 1
             self._deliver_map(pte, replay=True)
-        self.stats.mapped_pages += plan.page_size.pages_4k
-        if plan.page_size is not PageSize.SIZE_4K:
+        self.stats.mapped_pages += pte.page_size.pages_4k
+        if pte.page_size is not PageSize.SIZE_4K:
             self.stats.huge_mappings += 1
-        return pte
 
     def _deliver_map(self, pte: PTE, replay: bool = False) -> None:
         """Hand one map event to the page table, absorbing duplicates.
@@ -203,8 +188,10 @@ class Process:
         if vma is None:
             raise TranslationError(f"segfault: VA {va:#x} is not mapped")
         self.stats.faults += 1
-        plan = MappingPlan(vpn, PageSize.SIZE_4K)
-        return self._map_one(plan, vma, faulting=True)
+        pte = PTE(vpn, self._next_ppn, PageSize.SIZE_4K, vma.perms)
+        self._next_ppn += 1
+        self._map_event(pte, droppable=False)
+        return pte
 
     # -- invariants ----------------------------------------------------
     def check_invariants(self) -> None:

@@ -11,7 +11,6 @@ failures).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.kernel.vma import VMA
@@ -20,47 +19,21 @@ from repro.types import PageSize
 HUGE_PAGES_4K = PageSize.SIZE_2M.pages_4k  # 512
 
 
-@dataclass(frozen=True)
-class MappingPlan:
-    """One physical mapping decision: (first VPN, page size)."""
-
-    vpn: int
-    page_size: PageSize
-
-
-def plan_vma_mappings(
-    vma: VMA,
-    thp: bool,
-    coverage: float = 0.9,
-    min_huge_span: int = HUGE_PAGES_4K,
-) -> List[MappingPlan]:
-    """Mapping plan for a VMA: huge pages where THP applies, 4 KB
-    elsewhere.
-
-    ``coverage`` is the fraction of huge-eligible spans actually backed
-    by huge pages (the rest deliberately stays 4 KB, modelling spans
-    khugepaged has not collapsed).  Deterministic: every ``k``-th
-    eligible huge span is skipped so runs are reproducible.
-    """
-    return [
-        MappingPlan(vpn, size)
-        for first, count, size in plan_vma_runs(vma, thp, coverage, min_huge_span)
-        for vpn in range(first, first + count * size.pages_4k, size.pages_4k)
-    ]
-
-
 def plan_vma_runs(
-    vma: VMA,
-    thp: bool,
-    coverage: float = 0.9,
-    min_huge_span: int = HUGE_PAGES_4K,
+    vma: VMA, thp: bool, coverage: float = 0.9
 ) -> List[Tuple[int, int, PageSize]]:
-    """The :func:`plan_vma_mappings` plan as runs ``(first VPN, count,
-    page size)`` of equal-size mappings, in mapping order — the form
-    bulk population consumes without one object per page."""
+    """Mapping plan for a VMA: huge pages where THP applies, 4 KB
+    elsewhere, as runs ``(first VPN, count, page size)`` of equal-size
+    mappings in mapping order.
+
+    ``coverage`` is the fraction of huge-eligible VMAs actually backed
+    by huge pages (the rest deliberately stays 4 KB, modelling VMAs
+    khugepaged has not collapsed); the choice is deterministic, so
+    runs are reproducible.
+    """
     start, end = vma.start_vpn, vma.end_vpn
     collapsed = _vma_collapsed(vma, coverage)
-    if not thp or vma.pages < min_huge_span or vma.file_backed or not collapsed:
+    if not thp or vma.pages < HUGE_PAGES_4K or vma.file_backed or not collapsed:
         return [(start, vma.pages, PageSize.SIZE_4K)]
     first_aligned = -(-start // HUGE_PAGES_4K) * HUGE_PAGES_4K
     last_aligned = (end // HUGE_PAGES_4K) * HUGE_PAGES_4K
@@ -96,9 +69,3 @@ def _vma_collapsed(vma: VMA, coverage: float) -> bool:
         return False
     spread = ((vma.start_vpn * 2654435761) & 0xFFFF) / 65536.0
     return spread < coverage
-
-
-def summarize(plans: List[MappingPlan]) -> Tuple[int, int]:
-    """(huge mappings, 4 KB mappings) in a plan list."""
-    huge = sum(1 for p in plans if p.page_size is PageSize.SIZE_2M)
-    return huge, len(plans) - huge

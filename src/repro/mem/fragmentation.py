@@ -104,9 +104,7 @@ def datacenter_churn(
         live = keep
 
 
-def fragment_to_max_contiguity(
-    buddy: BuddyAllocator, max_block_bytes: int, seed: int = 7
-) -> None:
+def fragment_to_max_contiguity(buddy: BuddyAllocator, max_block_bytes: int) -> None:
     """Pin single pages until no free block exceeds ``max_block_bytes``.
 
     Used by the 7.3 fragmentation study that caps LVM's allocations at
@@ -114,7 +112,6 @@ def fragment_to_max_contiguity(
     tenants' memory.
     """
     limit_order = BuddyAllocator.order_for(max_block_bytes)
-    del seed  # deterministic pinning; parameter kept for API stability
     # Carve every block larger than the cap into (2 * cap)-sized chunks
     # and pin the first page of each chunk (leaked on purpose: it models
     # another tenant's memory).  Freeing the remaining pages coalesces

@@ -23,6 +23,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.errors import DuplicateMappingError
 from repro.mem.allocator import BumpAllocator, PhysicalAllocator
 from repro.types import (
     BASE_PAGE_SHIFT,
@@ -318,7 +319,7 @@ class ECPT:
     def map(self, pte: PTE) -> None:
         table = self.tables[pte.page_size]
         if table.lookup(pte.vpn) is not None:
-            raise TranslationError(f"VPN {pte.vpn:#x} already mapped")
+            raise DuplicateMappingError(f"VPN {pte.vpn:#x} already mapped")
         table.insert(pte)
         self._cwt_add(pte)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Union
 
+from repro.errors import DuplicateMappingError
 from repro.mem.allocator import BumpAllocator, OutOfPhysicalMemory, PhysicalAllocator
 from repro.pagetables.radix import ENTRY_BYTES, TABLE_BYTES
 from repro.types import (
@@ -149,7 +150,7 @@ class FlattenedPageTable:
         index = self._lower_index(vpn)
         if isinstance(container, _Node):
             if index in container.entries:
-                raise TranslationError(f"VPN {vpn:#x} already mapped")
+                raise DuplicateMappingError(f"VPN {vpn:#x} already mapped")
             container.entries[index] = pte
             return
         sub: _Sub = container
@@ -160,7 +161,7 @@ class FlattenedPageTable:
             lower = self._alloc_small()
             sub.lowers[up_idx] = lower
         if lo_idx in lower.entries:
-            raise TranslationError(f"VPN {vpn:#x} already mapped")
+            raise DuplicateMappingError(f"VPN {vpn:#x} already mapped")
         lower.entries[lo_idx] = pte
 
     def unmap(self, vpn: int) -> PTE:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 from typing import List, Optional, Tuple
 
+from repro.errors import DuplicateMappingError
 from repro.mem.allocator import BumpAllocator, PhysicalAllocator
 from repro.types import (
     PTE,
@@ -99,7 +100,7 @@ class HashedPageTable:
                 self._occupied += 1
                 return
             if entry.vpn == pte.vpn:
-                raise TranslationError(f"VPN {pte.vpn:#x} already mapped")
+                raise DuplicateMappingError(f"VPN {pte.vpn:#x} already mapped")
         raise TranslationError("hash table unexpectedly full")
 
     # -- PageTable interface --------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
+from repro.errors import DuplicateMappingError
 from repro.mem.allocator import BumpAllocator, PhysicalAllocator
 from repro.types import (
     PTE,
@@ -63,7 +64,7 @@ class IdealPageTable:
 
     def map(self, pte: PTE) -> None:
         if pte.vpn in self._entries:
-            raise TranslationError(f"VPN {pte.vpn:#x} already mapped")
+            raise DuplicateMappingError(f"VPN {pte.vpn:#x} already mapped")
         self._entries[pte.vpn] = pte
         for covered in range(pte.vpn, pte.vpn + pte.page_size.pages_4k):
             self._covering[covered] = pte.vpn

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Union
 
+from repro.errors import DuplicateMappingError
 from repro.mem.allocator import BumpAllocator, PhysicalAllocator
 from repro.types import (
     PTE,
@@ -84,7 +85,7 @@ class RadixPageTable:
             if level == leaf_level:
                 existing = table.entries.get(index)
                 if isinstance(existing, PTE):
-                    raise TranslationError(f"VPN {pte.vpn:#x} already mapped")
+                    raise DuplicateMappingError(f"VPN {pte.vpn:#x} already mapped")
                 if isinstance(existing, _Table):
                     raise TranslationError(
                         f"VPN {pte.vpn:#x}: large mapping overlaps smaller pages"

@@ -132,14 +132,16 @@ class Simulator(TranslationStack):
         scheme,
         workload: BuiltWorkload,
         config: Optional[SimConfig] = None,
-        lvm_config: Optional[LVMConfig] = None,
         allocator=None,
         l3: Optional[Cache] = None,
         phys_base: int = 0,
     ):
         self.workload = workload
         self.incorrect_translations = 0
-        super().__init__(scheme, config, workload.vmas, lvm_config, allocator, l3, phys_base)
+        super().__init__(
+            scheme, config, workload.vmas,
+            allocator=allocator, l3=l3, phys_base=phys_base,
+        )
 
     # -- the run -----------------------------------------------------------
     def run(self, num_refs: Optional[int] = None) -> SimResult:
@@ -299,10 +301,7 @@ class Simulator(TranslationStack):
 
 
 def simulate(
-    scheme,
-    workload: BuiltWorkload,
-    config: Optional[SimConfig] = None,
-    lvm_config: Optional[LVMConfig] = None,
+    scheme, workload: BuiltWorkload, config: Optional[SimConfig] = None
 ) -> SimResult:
     """Convenience one-shot: build the simulator and run it."""
-    return Simulator(scheme, workload, config, lvm_config).run()
+    return Simulator(scheme, workload, config).run()

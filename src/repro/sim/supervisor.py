@@ -43,8 +43,8 @@ The pool adds:
   respawned.
 * **Bounded retry with exponential backoff.**  Host-level failures
   (timeout, worker crash) retry up to ``retries`` extra attempts with
-  ``backoff_base * backoff_factor**(attempt-1)`` delay, capped at
-  ``backoff_max``.
+  ``BACKOFF_BASE_S * BACKOFF_FACTOR**(attempt-1)`` delay, capped at
+  ``BACKOFF_MAX_S``.
 * **Quarantine, not silence.**  A spec that exhausts its retry budget
   is recorded as a structured
   :class:`~repro.errors.SpecQuarantinedError` in
@@ -297,6 +297,14 @@ def _attempt(cell: Callable[[RunSpec], SimResult], spec: RunSpec) -> tuple:
         return "error", exc
 
 
+#: Retry delays after a host-level failure: the first retry waits
+#: ``BACKOFF_BASE_S``, each later one ``BACKOFF_FACTOR`` times longer, up
+#: to ``BACKOFF_MAX_S``.
+BACKOFF_BASE_S = 0.25
+BACKOFF_FACTOR = 2.0
+BACKOFF_MAX_S = 5.0
+
+
 @dataclass(frozen=True)
 class SupervisorPolicy:
     """Retry/timeout policy for host-level failures.
@@ -310,9 +318,6 @@ class SupervisorPolicy:
 
     run_timeout: Optional[float] = None
     retries: int = 2
-    backoff_base: float = 0.25
-    backoff_factor: float = 2.0
-    backoff_max: float = 5.0
 
     def __post_init__(self) -> None:
         self.validate()
@@ -324,19 +329,11 @@ class SupervisorPolicy:
             )
         if self.retries < 0:
             raise ConfigError(f"retries must be >= 0, got {self.retries!r}")
-        if self.backoff_base < 0 or self.backoff_max < 0:
-            raise ConfigError("backoff delays cannot be negative")
-        if self.backoff_factor < 1.0:
-            raise ConfigError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor!r}"
-            )
 
-    def backoff(self, attempt: int) -> float:
+    @staticmethod
+    def backoff(attempt: int) -> float:
         """Delay before the attempt *after* failed attempt ``attempt``."""
-        return min(
-            self.backoff_base * self.backoff_factor ** (attempt - 1),
-            self.backoff_max,
-        )
+        return min(BACKOFF_BASE_S * BACKOFF_FACTOR ** (attempt - 1), BACKOFF_MAX_S)
 
     @property
     def max_attempts(self) -> int:

@@ -1,12 +1,12 @@
-"""Bulk population (`Process.mmap_all` → `map_many`) against the
-per-page path it replaces.
+"""Bulk population (`Process.mmap_all` → `map_many`) against the same
+routine's per-event delivery.
 
 The contract: for any set of non-overlapping VMAs, in any order, with
 THP on or off, one ``map_many`` call leaves a page table in exactly the
-state the per-page ``Process.mmap(vma, populate=True)`` chain leaves —
-the same radix tables and paddrs, the same ECPT slots, bases, stats and
-CWT dict order, the same LVM index — and the same process and
-allocator state.
+state one map event per PTE leaves — the same radix tables and paddrs,
+the same ECPT slots, bases, stats and CWT dict order, the same LVM
+index — and the same process and allocator state.  A fault injector
+whose plan fires nothing forces the per-event delivery.
 """
 
 import random
@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.faults import FaultInjector, FaultPlan
 from repro.kernel.manager import LVMManager
 from repro.kernel.process import Process
 from repro.kernel.vma import VMA
@@ -84,27 +85,26 @@ def vma_sets(draw):
 def populated(make_table, vmas, thp, coverage, bulk, batch):
     allocator = BumpAllocator()
     table = make_table(allocator)
-    process = Process(table, allocator=allocator, thp=thp, thp_coverage=coverage)
+    process = Process(
+        table, allocator=allocator, thp=thp, thp_coverage=coverage,
+        injector=None if bulk else FaultInjector(FaultPlan()),
+    )
     if batch:
         table.begin_batch()
-    if bulk:
-        process.mmap_all(vmas)
-    else:
-        for vma in vmas:
-            process.mmap(vma, populate=True)
+    process.mmap_all(vmas)
     if batch:
         table.end_batch()
     return process
 
 
 def assert_same(make_table, vmas, thp, coverage, batch=False):
-    per_page = populated(make_table, vmas, thp, coverage, False, batch)
+    per_event = populated(make_table, vmas, thp, coverage, False, batch)
     bulk = populated(make_table, vmas, thp, coverage, True, batch)
-    assert state(bulk.page_table) == state(per_page.page_table)
-    assert state(bulk.allocator) == state(per_page.allocator)
-    assert bulk.stats == per_page.stats
-    assert bulk._next_ppn == per_page._next_ppn
-    assert list(bulk.address_space) == list(per_page.address_space)
+    assert state(bulk.page_table) == state(per_event.page_table)
+    assert state(bulk.allocator) == state(per_event.allocator)
+    assert bulk.stats == per_event.stats
+    assert bulk._next_ppn == per_event._next_ppn
+    assert list(bulk.address_space) == list(per_event.address_space)
 
 
 PROPERTY = settings(max_examples=30, deadline=None)

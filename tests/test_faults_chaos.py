@@ -10,7 +10,8 @@ the cycle counts are bit-identical to a run with no injector at all.
 import pytest
 
 from repro.faults import FaultKind, FaultPlan
-from repro.sim import SimConfig, Simulator, run_suite
+from repro.serve.tenant import Tenant, TenantSpec
+from repro.sim import EXTENDED_SCHEMES, SimConfig, Simulator, run_suite
 from repro.workloads import build_workload
 
 REFS = 4_000
@@ -100,6 +101,35 @@ class TestRecoveryCountersVisible:
         # Every duplicate delivery bounced off the invariant guard.
         assert detail["duplicate_rejects"] == detail["duplicate_events"]
         assert r.incorrect_translations == 0
+
+
+@pytest.mark.parametrize("scheme", EXTENDED_SCHEMES)
+class TestKernelEventsEveryScheme:
+    """Every page table's duplicate guard raises DuplicateMappingError,
+    so the kernel's event path absorbs replayed and stale maps for
+    every scheme, not only LVM."""
+
+    def test_replayed_maps_rejected(self, scheme):
+        plan = FaultPlan(seed=3, kernel_event_dup_rate=0.01)
+        config = SimConfig(num_refs=2_000, faults=plan, verify_translations=True)
+        result = Simulator(scheme, build_workload("gups", scale=1024), config).run()
+        detail = result.recovery_detail
+        assert detail.get("duplicate_events", 0) > 0
+        assert detail["duplicate_rejects"] == detail["duplicate_events"]
+        assert result.incorrect_translations == 0
+
+    def test_tenant_remaps_over_stale_translations(self, scheme):
+        plan = {"seed": 0, "kernel_event_drop_rate": 0.2, "kernel_event_dup_rate": 0.2}
+        tenant = Tenant(TenantSpec(name="t", scheme=scheme, fault_plan=plan))
+        tenant.apply("mmap", {"start_vpn": 0x100, "pages": 64})
+        for _ in range(5):
+            tenant.apply("munmap", {"start_vpn": 0x100})
+            tenant.apply("mmap", {"start_vpn": 0x100, "pages": 64})
+        stats = tenant.process.stats
+        assert stats.stale_reconciled > 0
+        assert stats.duplicate_events > 0
+        assert stats.duplicate_rejects == stats.duplicate_events
+        assert tenant.quarantined is None
 
 
 @pytest.mark.timeout(600)

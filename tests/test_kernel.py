@@ -5,7 +5,7 @@ import pytest
 from repro.kernel.aslr import ASLRLayout
 from repro.kernel.manager import LVMManager
 from repro.kernel.process import Process
-from repro.kernel.thp import plan_vma_mappings, summarize
+from repro.kernel.thp import plan_vma_runs
 from repro.kernel.vma import VMA, AddressSpace
 from repro.mem.allocator import BumpAllocator
 from repro.pagetables.radix import RadixPageTable
@@ -53,38 +53,44 @@ class TestVMA:
         assert space.gap_coverage() == pytest.approx(18 / 19)
 
 
+def summarize(runs):
+    """(huge mappings, 4 KB mappings) in a run plan."""
+    huge = sum(count for _, count, size in runs if size is PageSize.SIZE_2M)
+    return huge, sum(count for _, count, _ in runs) - huge
+
+
 class TestTHPPolicy:
     def test_collapsed_vma_is_huge(self):
         vma = VMA(start_vpn=512 * 4, pages=512 * 4)
-        plans = plan_vma_mappings(vma, thp=True, coverage=1.0)
+        plans = plan_vma_runs(vma, thp=True, coverage=1.0)
         huge, small = summarize(plans)
         assert huge == 4 and small == 0
 
     def test_unaligned_heads_tails(self):
         vma = VMA(start_vpn=512 * 4 + 10, pages=512 * 3)
-        plans = plan_vma_mappings(vma, thp=True, coverage=1.0)
+        plans = plan_vma_runs(vma, thp=True, coverage=1.0)
         huge, small = summarize(plans)
         assert huge == 2
         assert small == 512 * 3 - 2 * 512
 
     def test_small_vma_stays_4k(self):
         vma = VMA(start_vpn=0, pages=100)
-        plans = plan_vma_mappings(vma, thp=True)
+        plans = plan_vma_runs(vma, thp=True)
         assert summarize(plans) == (0, 100)
 
     def test_file_backed_stays_4k(self):
         vma = VMA(start_vpn=0, pages=2048, file_backed=True)
-        plans = plan_vma_mappings(vma, thp=True)
+        plans = plan_vma_runs(vma, thp=True)
         assert summarize(plans)[0] == 0
 
     def test_no_thp_all_4k(self):
         vma = VMA(start_vpn=0, pages=2048)
-        plans = plan_vma_mappings(vma, thp=False)
+        plans = plan_vma_runs(vma, thp=False)
         assert summarize(plans) == (0, 2048)
 
     def test_coverage_zero_never_collapses(self):
         vma = VMA(start_vpn=0, pages=2048)
-        plans = plan_vma_mappings(vma, thp=True, coverage=0.0)
+        plans = plan_vma_runs(vma, thp=True, coverage=0.0)
         assert summarize(plans)[0] == 0
 
 

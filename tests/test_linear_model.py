@@ -1,14 +1,20 @@
 """Tests for linear models and regression fitting."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.linear_model import (
-    LinearModel,
-    fit_even_division,
-    fit_least_squares,
-    max_abs_error,
-)
+from repro.core.cost_model import fit_keys, scale_model
+from repro.core.linear_model import fit_even_division
+
+
+def fit(keys):
+    return fit_keys(np.array(keys, dtype=np.int64))
+
+
+def max_abs_error(model, keys):
+    """Largest |predicted - actual| position over the sorted keys."""
+    return max(abs(model.predict(key) - pos) for pos, key in enumerate(keys))
 
 
 class TestEvenDivision:
@@ -69,38 +75,38 @@ class TestEvenDivision:
 class TestLeastSquares:
     def test_perfect_line(self):
         keys = list(range(100, 200))
-        model = fit_least_squares(keys)
+        model = fit(keys)
         assert model.slope == pytest.approx(1.0, abs=1e-5)
         assert max_abs_error(model, keys) <= 1
 
     def test_strided_line(self):
         keys = list(range(0, 1000, 2))
-        model = fit_least_squares(keys)
+        model = fit(keys)
         assert model.slope == pytest.approx(0.5, abs=1e-5)
         assert max_abs_error(model, keys) <= 1
 
     def test_single_key(self):
-        model = fit_least_squares([42])
+        model = fit([42])
         assert model.predict(42) == 0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            fit_least_squares([])
+            fit([])
 
     def test_large_vpns_no_precision_loss(self):
         base = 0x7F00_0000_0  # large VPN (mmap region)
         keys = [base + i for i in range(1000)]
-        model = fit_least_squares(keys)
+        model = fit(keys)
         assert max_abs_error(model, keys) <= 1
 
     def test_two_segments_has_error(self):
         keys = list(range(100)) + list(range(10_000, 10_100))
-        model = fit_least_squares(keys)
+        model = fit(keys)
         assert max_abs_error(model, keys) > 10
 
 
 class TestScaling:
     def test_scaled_stretches_predictions(self):
-        model = fit_least_squares(list(range(1000)))
-        scaled = model.scaled(1.3)
+        model = fit(list(range(1000)))
+        scaled = scale_model(model, 1.3)
         assert scaled.predict(999) == pytest.approx(1.3 * 999, abs=2)

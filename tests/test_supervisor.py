@@ -312,13 +312,10 @@ class TestGracefulShutdown:
             SupervisorPolicy(run_timeout=0).validate()
         with pytest.raises(ConfigError, match="retries"):
             SupervisorPolicy(retries=-1).validate()
-        with pytest.raises(ConfigError, match="backoff_factor"):
-            SupervisorPolicy(backoff_factor=0.5).validate()
-        policy = SupervisorPolicy(backoff_base=0.5, backoff_factor=2.0,
-                                  backoff_max=3.0)
-        assert policy.backoff(1) == 0.5
-        assert policy.backoff(2) == 1.0
-        assert policy.backoff(10) == 3.0  # capped
+        policy = SupervisorPolicy()
+        assert policy.backoff(1) == 0.25
+        assert policy.backoff(2) == 0.5
+        assert policy.backoff(10) == 5.0  # capped
         assert policy.max_attempts == 3
 
     def test_supervisor_rejects_bad_arguments(self, tmp_path):

@@ -7,7 +7,7 @@ kernel→agent event stream.  These checks are the contract:
 * VMAs never overlap (:class:`~repro.errors.OverlappingVMAError`);
 * no physical frame is mapped by two translations
   (:class:`~repro.errors.DoubleMappedFrameError`);
-* every translation the index holds falls inside a live VMA
+* every translation the page table holds falls inside a live VMA
   (:class:`~repro.errors.IndexInconsistencyError`) — a violation is the
   signature of a lost munmap event.
 
@@ -40,28 +40,6 @@ def check_no_overlapping_vmas(address_space) -> None:
         prev = vma
 
 
-def gather_translations(process) -> List[PTE]:
-    """All live translations of a process, one PTE per mapping.
-
-    Enumerated through the VMA layer (the page-table interface has no
-    iteration API), stepping by each mapping's page size.
-    """
-    ptes: List[PTE] = []
-    seen = set()
-    for vma in process.address_space:
-        vpn = vma.start_vpn
-        while vpn < vma.end_vpn:
-            pte = process.page_table.find(vpn)
-            if pte is None:
-                vpn += 1
-                continue
-            if id(pte) not in seen:
-                seen.add(id(pte))
-                ptes.append(pte)
-            vpn = max(vpn + 1, pte.vpn + pte.page_size.pages_4k)
-    return ptes
-
-
 def check_no_double_mapped_frames(ptes: List[PTE]) -> None:
     """No physical frame may back two different translations."""
     ranges = sorted(
@@ -79,40 +57,32 @@ def check_no_double_mapped_frames(ptes: List[PTE]) -> None:
 
 
 def check_index_consistency(process) -> None:
-    """Every translation the (LVM) index holds must be inside a VMA.
-
-    Schemes without an authoritative mapping list are skipped; for LVM
-    this catches translations orphaned by lost munmap events.
-    """
-    mappings = getattr(process.page_table, "mappings", None)
-    if mappings is None:
-        return
-    for pte in mappings():
+    """Every translation the page table holds must be inside a VMA:
+    this catches translations orphaned by lost munmap events."""
+    for pte in process.page_table.mappings():
         if process.address_space.find(pte.vpn) is None:
             raise IndexInconsistencyError(
-                f"index holds VPN {pte.vpn:#x} but no VMA covers it"
+                f"page table holds VPN {pte.vpn:#x} but no VMA covers it"
             )
 
 
 def check_process_invariants(process) -> None:
     """Run every invariant check; raises the first violation found."""
     check_no_overlapping_vmas(process.address_space)
-    check_no_double_mapped_frames(gather_translations(process))
+    check_no_double_mapped_frames(process.page_table.mappings())
     check_index_consistency(process)
 
 
 def reconcile_stale_mappings(process) -> int:
-    """Remove index translations no VMA covers (lost munmap events).
+    """Remove page-table translations no VMA covers (lost munmap
+    events).
 
     Returns the number of stale translations dropped.  This is the
     recovery path behind :func:`check_index_consistency`.
     """
-    mappings = getattr(process.page_table, "mappings", None)
-    if mappings is None:
-        return 0
     stale = [
         pte.vpn
-        for pte in mappings()
+        for pte in process.page_table.mappings()
         if process.address_space.find(pte.vpn) is None
     ]
     for vpn in stale:

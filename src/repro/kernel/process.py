@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, List, Optional
+from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.errors import DuplicateMappingError
 from repro.kernel import invariants
@@ -33,6 +33,56 @@ class ProcessStats:
     duplicate_events: int = 0
     duplicate_rejects: int = 0
     stale_reconciled: int = 0
+
+
+class Mint(NamedTuple):
+    """The PTEs :func:`mint` made for ``vmas``, in mapping order, and
+    what they were made from."""
+
+    vmas: Tuple[VMA, ...]
+    ptes: Tuple[PTE, ...]
+    pages: int  # 4 KB pages the PTEs cover
+    huge: int  # huge mappings among them
+    first_ppn: int
+    next_ppn: int  # the frame after the last one used
+    thp: bool
+    thp_coverage: float
+
+
+def mint(
+    vmas: Iterable[VMA], thp: bool, thp_coverage: float, first_ppn: int
+) -> Mint:
+    """The PTEs for every page of ``vmas``, with data frames handed out
+    in order from ``first_ppn``; a pure function of its arguments.
+
+    ``plan_vma_runs`` decides each VMA's mix of huge and 4 KB mappings.
+    Frames come from a bump cursor: what matters for the translation
+    study is the *page table* layout, and a cursor gives all schemes
+    identical data-cache behaviour.
+    """
+    vmas = tuple(vmas)
+    ptes: List[PTE] = []
+    ppn = first_ppn
+    huge = 0
+    for vma in vmas:
+        for first, count, size in plan_vma_runs(vma, thp, thp_coverage):
+            step = size.pages_4k
+            span = count * step
+            ptes.extend(
+                map(
+                    PTE,
+                    range(first, first + span, step),
+                    range(ppn, ppn + span, step),
+                    repeat(size, count),
+                    repeat(vma.perms, count),
+                )
+            )
+            ppn += span
+            if size is not PageSize.SIZE_4K:
+                huge += count
+    return Mint(
+        vmas, tuple(ptes), ppn - first_ppn, huge, first_ppn, ppn, thp, thp_coverage
+    )
 
 
 class Process:
@@ -59,7 +109,7 @@ class Process:
         self.address_space = AddressSpace()
         self.stats = ProcessStats()
         # Data-page frame numbers, from 4 GiB above ``phys_base``.
-        self._next_ppn = phys_base // BASE_PAGE_SIZE + (1 << 20)
+        self.next_ppn = phys_base // BASE_PAGE_SIZE + (1 << 20)
 
     # -- mapping ---------------------------------------------------------
     def mmap(self, vma: VMA, populate: bool = True) -> VMA:
@@ -73,48 +123,38 @@ class Process:
 
     def mmap_all(self, vmas: Iterable[VMA]) -> None:
         """Create each of ``vmas``, in order, and install translations
-        for all of their pages.
+        for all of their pages: :func:`mint` them from this process's
+        frame cursor, then :meth:`install` them."""
+        self.install(mint(vmas, self.thp, self.thp_coverage, self.next_ppn))
 
-        ``plan_vma_runs`` decides each VMA's mix of huge and 4 KB
-        mappings.  Data frames come from a per-process bump cursor:
-        what matters for the translation study is the *page table*
-        layout, and a cursor gives all schemes identical data-cache
-        behaviour.  On a clean event stream the PTEs reach the table in
-        one ``map_many`` call; under a fault injector, or for a table
-        without ``map_many``, each PTE is one map event, which the
-        injector may drop or replay.
+    def install(self, minted: Mint) -> None:
+        """Create the VMAs of ``minted``, in order, and deliver its PTEs.
+
+        ``minted`` must come from this process's frame cursor, THP
+        setting and coverage (anything else raises ``ValueError``), but
+        may be shared: the entries are delivered, never copied.  On a
+        clean event stream they reach the table in one ``map_many``
+        call; under a fault injector, or for a table without
+        ``map_many``, each PTE is one map event, which the injector may
+        drop or replay.
         """
-        ptes: List[PTE] = []
-        pages = huge = 0
-        for vma in vmas:
+        made_for = (minted.first_ppn, minted.thp, minted.thp_coverage)
+        if made_for != (self.next_ppn, self.thp, self.thp_coverage):
+            raise ValueError(
+                f"a mint for (first frame, THP, coverage) {made_for} cannot "
+                f"be installed at {(self.next_ppn, self.thp, self.thp_coverage)}"
+            )
+        for vma in minted.vmas:
             self.address_space.mmap(vma)
-            for first, count, size in plan_vma_runs(
-                vma, self.thp, self.thp_coverage
-            ):
-                step = size.pages_4k
-                span = count * step
-                ppn = self._next_ppn
-                ptes.extend(
-                    map(
-                        PTE,
-                        range(first, first + span, step),
-                        range(ppn, ppn + span, step),
-                        repeat(size, count),
-                        repeat(vma.perms, count),
-                    )
-                )
-                self._next_ppn += span
-                pages += span
-                if size is not PageSize.SIZE_4K:
-                    huge += count
+        self.next_ppn = minted.next_ppn
         map_many = getattr(self.page_table, "map_many", None)
         if map_many is None or self.injector is not None:
-            for pte in ptes:
+            for pte in minted.ptes:
                 self._map_event(pte)
             return
-        map_many(ptes)
-        self.stats.mapped_pages += pages
-        self.stats.huge_mappings += huge
+        map_many(minted.ptes)
+        self.stats.mapped_pages += minted.pages
+        self.stats.huge_mappings += minted.huge
 
     def _map_event(self, pte: PTE, droppable: bool = True) -> None:
         """Deliver one map event through the (possibly faulty) stream."""
@@ -188,8 +228,8 @@ class Process:
         if vma is None:
             raise TranslationError(f"segfault: VA {va:#x} is not mapped")
         self.stats.faults += 1
-        pte = PTE(vpn, self._next_ppn, PageSize.SIZE_4K, vma.perms)
-        self._next_ppn += 1
+        pte = PTE(vpn, self.next_ppn, PageSize.SIZE_4K, vma.perms)
+        self.next_ppn += 1
         self._map_event(pte, droppable=False)
         return pte
 

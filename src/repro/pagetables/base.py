@@ -9,7 +9,7 @@ the cache hierarchy to obtain latency and traffic.
 
 from __future__ import annotations
 
-from typing import Optional, Protocol, runtime_checkable
+from typing import List, Optional, Protocol, runtime_checkable
 
 from repro.types import PTE, WalkResult
 
@@ -42,6 +42,11 @@ class PageTable(Protocol):
 
     def find(self, vpn: int) -> Optional[PTE]:
         """Software lookup with no statistics side effects."""
+        ...
+
+    def mappings(self) -> List[PTE]:
+        """Every installed translation, once each, in VPN order: what
+        the kernel's audit compares against its VMAs."""
         ...
 
     @property

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -200,39 +200,64 @@ class _CuckooTable:
         self._resize()
         self.insert(item)
 
-    def insert_positions(self, items: Iterable[int], columns: _SlotColumns) -> None:
+    def insert_positions(self, items: Sequence[int], columns: _SlotColumns) -> None:
         """:meth:`insert` for each of ``items`` in order, where the
         slots hold batch positions (see :meth:`ECPT.map_many`) and
         ``columns`` gives each position's slots.  The same load checks,
-        kick chains and resizes, step for step."""
+        kick chains and resizes, step for step.
+
+        :meth:`insert` grows before an item once ``occupied`` reaches
+        the load limit ``floor(max_load * capacity * ways)``, so a run
+        of up to ``limit - occupied`` items goes in between two checks,
+        each probing its way-0 slot inline.  A run may fill the table
+        to its limit exactly: it grows only when another item arrives.
+        """
         ways = self.ways
-        stats = self.stats
-        kick_ways = tuple(w % ways for w in range(MAX_KICKS))
-        capacity, slots = self._capacity, self._slots
-        column = columns.at(capacity)
-        threshold = self.max_load * capacity * ways
-        for item in items:
-            if (self._occupied + 1) > threshold:
+        kicks = 0
+        done, count = 0, len(items)
+        while done < count:
+            room = int(self.max_load * self._capacity * ways) - self._occupied
+            if room <= 0:
                 self.insert_positions(self._grow(), columns)
-                capacity, slots = self._capacity, self._slots
-                column = columns.at(capacity)
-                threshold = self.max_load * capacity * ways
-            for way in kick_ways:
-                row = slots[way]
-                slot = column[way][item]
-                evicted = row[slot]
-                row[slot] = item
+                # :meth:`insert` places the item that made it grow
+                # without a second check.
+                room = max(
+                    1, int(self.max_load * self._capacity * ways) - self._occupied
+                )
+            # Way k of a kick chain is way k % ways: way 0 inline, then
+            # the (slot row, hash column) pairs of the other steps.
+            pairs = tuple(zip(self._slots, columns.at(self._capacity)))
+            row0, column0 = pairs[0]
+            chain = tuple(pairs[k % ways] for k in range(1, MAX_KICKS))
+            run = items[done : done + room]
+            for item in run:
+                slot = column0[item]
+                evicted = row0[slot]
+                row0[slot] = item
                 if evicted is None:
-                    self._occupied += 1
-                    break
-                stats.kicks += 1
+                    continue
+                first = item
+                kicks += 1
                 item = evicted
+                for row, column in chain:
+                    slot = column[item]
+                    evicted = row[slot]
+                    row[slot] = item
+                    if evicted is None:
+                        break
+                    kicks += 1
+                    item = evicted
+                else:
+                    # Kick chain too long: grow, place the item left
+                    # over, and go on after ``first``.
+                    self.insert_positions(self._grow(), columns)
+                    self.insert_positions((item,), columns)
+                    done += run.index(first) + 1
+                    break
             else:
-                self.insert_positions(self._grow(), columns)
-                self.insert_positions((item,), columns)
-                capacity, slots = self._capacity, self._slots
-                column = columns.at(capacity)
-                threshold = self.max_load * capacity * ways
+                self._occupied += len(run)
+                done += len(run)
+        self.stats.kicks += kicks
 
     def remove(self, vpn: int) -> Optional[PTE]:
         key = self.key_of(vpn)
@@ -478,6 +503,12 @@ class ECPT:
             if entry is not None and entry.covers(vpn):
                 return entry
         return None
+
+    def mappings(self) -> List[PTE]:
+        """Every installed translation, in VPN order."""
+        return sorted(
+            (e for table in self.tables.values() for e in table.entries()), key=_VPN
+        )
 
     @property
     def table_bytes(self) -> int:

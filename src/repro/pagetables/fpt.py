@@ -11,7 +11,8 @@ region degrades toward radix.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Union
+from operator import attrgetter
+from typing import Dict, List, Optional, Union
 
 from repro.errors import DuplicateMappingError
 from repro.mem.allocator import BumpAllocator, OutOfPhysicalMemory, PhysicalAllocator
@@ -246,6 +247,20 @@ class FlattenedPageTable:
 
     def find(self, vpn: int) -> Optional[PTE]:
         return self.walk(vpn).pte
+
+    def mappings(self) -> List[PTE]:
+        """Every installed translation, in VPN order."""
+        found: List[PTE] = []
+        # An unfolded pair's lower tables hold what a folded table would.
+        tables = [self.root]
+        for table in tables:  # grows as child tables turn up
+            children = table.lowers if isinstance(table, _Sub) else table.entries
+            for entry in children.values():
+                if isinstance(entry, PTE):
+                    found.append(entry)
+                else:
+                    tables.append(entry)
+        return sorted(found, key=attrgetter("vpn"))
 
     @property
     def table_bytes(self) -> int:

@@ -14,6 +14,7 @@ case, extra sequential probes to resolve collisions.
 from __future__ import annotations
 
 import hashlib
+from operator import attrgetter
 from typing import List, Optional, Tuple
 
 from repro.errors import DuplicateMappingError
@@ -188,6 +189,12 @@ class HashedPageTable:
     def find(self, vpn: int) -> Optional[PTE]:
         pte, _, _ = self._probe_multi(vpn)
         return pte
+
+    def mappings(self) -> List[PTE]:
+        """Every installed translation, in VPN order."""
+        return sorted(
+            (e for e in self._slots if e is not None), key=attrgetter("vpn")
+        )
 
     @property
     def collision_rate(self) -> float:

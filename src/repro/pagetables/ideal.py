@@ -9,7 +9,7 @@ layout used in the paper's memory-consumption accounting.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.errors import DuplicateMappingError
 from repro.mem.allocator import BumpAllocator, PhysicalAllocator
@@ -94,6 +94,10 @@ class IdealPageTable:
     def find(self, vpn: int) -> Optional[PTE]:
         first = self._covering.get(vpn)
         return self._entries.get(first) if first is not None else None
+
+    def mappings(self) -> List[PTE]:
+        """Every installed translation, in VPN order."""
+        return [self._entries[vpn] for vpn in sorted(self._entries)]
 
     @property
     def table_bytes(self) -> int:

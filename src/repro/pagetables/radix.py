@@ -10,6 +10,7 @@ circuits the upper levels.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Union
 
 from repro.errors import DuplicateMappingError
@@ -191,6 +192,18 @@ class RadixPageTable:
                 return entry
             table = entry
         return None
+
+    def mappings(self) -> List[PTE]:
+        """Every installed translation, in VPN order."""
+        found: List[PTE] = []
+        tables = [self.root]
+        for table in tables:  # grows as child tables turn up
+            for entry in table.entries.values():
+                if isinstance(entry, PTE):
+                    found.append(entry)
+                else:
+                    tables.append(entry)
+        return sorted(found, key=attrgetter("vpn"))
 
     @property
     def table_bytes(self) -> int:

@@ -165,6 +165,12 @@ def _run_cell(spec: RunSpec) -> SimResult:
             spec.workload, spec.config, cache_for_config(spec.config)
         )
         _SWEEP_WORKLOADS[key] = built
+    # Cells run in (page mode, workload, scheme) order, so the other
+    # workloads' mints are spent: drop them, and a sweep holds one
+    # workload's PTEs at a time instead of every workload's.
+    for other in _SWEEP_WORKLOADS.values():
+        if other is not built:
+            other.forget_mints()
     return Simulator(spec.scheme, built, spec.config.clone(thp=spec.thp)).run()
 
 

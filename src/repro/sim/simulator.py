@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence
 from repro.core.config import LVMConfig
 from repro.faults import FaultInjector
 from repro.kernel.manager import LVMManager
-from repro.kernel.process import Process
+from repro.kernel.process import Mint, Process, mint
 from repro.kernel.vma import VMA
 from repro.mem.allocator import BumpAllocator
 from repro.mem.buddy import BuddyAllocator
@@ -101,11 +101,16 @@ class TranslationStack:
         )
         if self.manager is not None:
             self.manager.begin_batch()
-        self.process.mmap_all(vmas)
+        self.process.install(self._mint(vmas))
         if self.manager is not None:
             self.manager.end_batch()
         self.walker = self.descriptor.make_walker(self)
         self.mmu = MMU(self.walker, self.config.tlb)
+
+    def _mint(self, vmas: Sequence[VMA]) -> Mint:
+        """The PTEs this stack installs for ``vmas``."""
+        process = self.process
+        return mint(vmas, process.thp, process.thp_coverage, process.next_ppn)
 
     def _make_allocator(self):
         if self.config.phys_mem_bytes is None:
@@ -125,7 +130,11 @@ class TranslationStack:
 
 class Simulator(TranslationStack):
     """One (workload, scheme, page-size) simulation: a translation
-    stack over the workload's VMAs, driven by its reference trace."""
+    stack over the workload's VMAs, driven by its reference trace.
+
+    Its PTEs come from the workload's memoized mint, so the simulators
+    of one workload and page mode (a sweep's cells, one per scheme)
+    mint once and install the same entries."""
 
     def __init__(
         self,
@@ -141,6 +150,14 @@ class Simulator(TranslationStack):
         super().__init__(
             scheme, config, workload.vmas,
             allocator=allocator, l3=l3, phys_base=phys_base,
+        )
+
+    def _mint(self, vmas: Sequence[VMA]) -> Mint:
+        """The workload's memoized mint for this run's page mode and
+        physical base (``vmas`` are the workload's own)."""
+        process = self.process
+        return self.workload.mint(
+            process.thp, process.thp_coverage, process.next_ppn
         )
 
     # -- the run -----------------------------------------------------------

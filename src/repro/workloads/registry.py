@@ -18,6 +18,7 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from repro.kernel.aslr import ASLRLayout
+from repro.kernel.process import Mint, mint
 from repro.kernel.vma import VMA
 from repro.types import BASE_PAGE_SIZE, Permission
 from repro.workloads.address_space import (
@@ -103,10 +104,34 @@ class BuiltWorkload:
     _packed_cache: Dict[tuple, object] = field(
         default_factory=dict, repr=False, compare=False
     )
+    # (thp, thp_coverage, first frame) -> Mint, shared the same way by
+    # every scheme's run of one page mode (see :meth:`mint`).
+    _mint_cache: Dict[tuple, Mint] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     @property
     def vmas(self) -> List[VMA]:
         return self.space.vmas
+
+    def mint(self, thp: bool, thp_coverage: float, first_ppn: int) -> Mint:
+        """The PTEs of this workload's VMAs, minted once per (THP,
+        coverage, first frame) and then shared: every simulator of one
+        page mode installs the same entry objects.  Nothing a run does
+        writes a PTE in place (a fault-injected bit flip installs a
+        corrupted copy), so one run cannot leak into the next."""
+        key = (thp, thp_coverage, first_ppn)
+        minted = self._mint_cache.get(key)
+        if minted is None:
+            minted = self._mint_cache[key] = mint(
+                self.vmas, thp, thp_coverage, first_ppn
+            )
+        return minted
+
+    def forget_mints(self) -> None:
+        """Drop the memoized mints; tables that installed their PTEs
+        keep them."""
+        self._mint_cache.clear()
 
     def trace(self, num_refs: int, seed: int = 0) -> np.ndarray:
         """A freshly generated raw trace; runs read the memoized packed

@@ -1,7 +1,11 @@
 """PageTable protocol conformance and the walk helpers."""
 
+import pytest
+
 from repro.kernel.manager import LVMManager
 from repro.mem.allocator import BumpAllocator
+from repro.mem.buddy import BuddyAllocator
+from repro.mem.fragmentation import fragment_to_max_contiguity
 from repro.pagetables import (
     ECPT,
     FlattenedPageTable,
@@ -12,7 +16,16 @@ from repro.pagetables import (
     walk_serial_length,
     walk_traffic,
 )
-from repro.types import PTE, AccessKind, WalkAccess, WalkResult
+from repro.types import PTE, AccessKind, PageSize, WalkAccess, WalkResult
+
+
+def unfolded_fpt():
+    """An FPT whose folds all fail: every level is a 4 KB table pair."""
+    buddy = BuddyAllocator(64 << 20)
+    fragment_to_max_contiguity(buddy, 256 << 10)
+    table = FlattenedPageTable(buddy)
+    assert table.fold_success_rate == 0.0
+    return table
 
 
 ALL_TABLES = [
@@ -36,6 +49,19 @@ class TestProtocolConformance:
             table = factory()
             table.map(PTE(vpn=1, ppn=1))
             assert table.table_bytes >= 0
+
+    @pytest.mark.parametrize("factory", ALL_TABLES + [unfolded_fpt])
+    def test_mappings_lists_each_translation_once_in_vpn_order(self, factory):
+        table = factory()
+        vpns = [0x40000, 7, 0x3FFFF, 1 << 27, 0x2000, 8]
+        for vpn in vpns:
+            table.map(PTE(vpn=vpn, ppn=vpn + 3))
+        huge = PTE(vpn=0x600, ppn=0x800, page_size=PageSize.SIZE_2M)
+        table.map(huge)
+        table.unmap(0x2000)
+        listed = table.mappings()
+        assert [p.vpn for p in listed] == [7, 8, 0x600, 0x3FFFF, 0x40000, 1 << 27]
+        assert listed[2] is table.find(0x7FF) is huge
 
 
 class TestWalkHelpers:

@@ -103,7 +103,7 @@ def assert_same(make_table, vmas, thp, coverage, batch=False):
     assert state(bulk.page_table) == state(per_event.page_table)
     assert state(bulk.allocator) == state(per_event.allocator)
     assert bulk.stats == per_event.stats
-    assert bulk._next_ppn == per_event._next_ppn
+    assert bulk.next_ppn == per_event.next_ppn
     assert list(bulk.address_space) == list(per_event.address_space)
 
 
@@ -127,6 +127,11 @@ class TestBulkEqualsPerPage:
     @example(
         vmas=[VMA(0, 100), VMA(1024, 5120), VMA(8192, 100)],
         thp=True, coverage=1.0, ways=2, initial=4, max_load=0.6,
+    )
+    # Two entries fill a table of load limit floor(0.3 * 4 * 2) = 2
+    # exactly; neither path may grow it.
+    @example(
+        vmas=[VMA(0, 2)], thp=False, coverage=0.9, ways=2, initial=4, max_load=0.3,
     )
     def test_ecpt(self, vmas, thp, coverage, ways, initial, max_load):
         """Small tables and two ways force resizes, long kick chains

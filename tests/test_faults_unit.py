@@ -31,6 +31,8 @@ from repro.kernel.process import Process
 from repro.kernel.vma import VMA, AddressSpace
 from repro.mem import BumpAllocator
 from repro.mmu.walk_cache import CWC, LWC, RadixPWC
+from repro.schemes import registry as scheme_registry
+from repro.sim.simulator import TranslationStack
 from repro.types import PTE, PageSize
 
 
@@ -390,9 +392,12 @@ class TestKernelEventFaults:
         assert proc.stats.duplicate_rejects == proc.stats.duplicate_events
         check_process_invariants(proc)
 
-    def test_dropped_munmap_heals_via_reconcile(self):
+    @pytest.mark.parametrize("scheme", scheme_registry.available())
+    def test_dropped_munmap_heals_via_reconcile(self, scheme):
+        """Every scheme's table lists its mappings, so the audit sees
+        (and the invariant check flags) a translation no VMA covers."""
         plan = FaultPlan(seed=0, kernel_event_drop_rate=1.0)
-        proc = Process(LVMManager(BumpAllocator()), injector=None)
+        proc = TranslationStack(scheme).process
         proc.mmap(VMA(start_vpn=0x300, pages=4))
         proc.injector = FaultInjector(plan)
         proc.munmap(0x300)
@@ -401,6 +406,8 @@ class TestKernelEventFaults:
         # VMA is gone but the index still holds the translations.
         assert proc.address_space.find(0x300) is None
         assert proc.page_table.find(0x300) is not None
+        with pytest.raises(IndexInconsistencyError):
+            proc.check_invariants()
         healed = proc.reconcile()
         assert healed == 4
         assert proc.page_table.find(0x300) is None

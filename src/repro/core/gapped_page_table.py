@@ -22,30 +22,94 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.errors import ReproError
-from repro.types import (
-    BASE_PAGE_SHIFT,
-    CACHE_LINE_SIZE,
-    PTE,
-    PTE_SIZE,
-    PTE_TAG_MASK,
-    PTE_TAG_PPN_MULT,
-    PTE_TAG_VPN_MULT,
-)
+from repro.types import BASE_PAGE_SHIFT, CACHE_LINE_SIZE, PTE, PTE_SIZE
 
 SLOTS_PER_LINE = CACHE_LINE_SIZE // PTE_SIZE
 
 
-def _around(center: int, count: int, reach: int):
-    """The slots a bounded search probes after ``center``, in order:
-    ``center + 1``, ``center - 1``, ``center + 2``, ``center - 2``, ...
-    up to ``reach`` steps each way, skipping those outside a table of
-    ``count`` slots.  Searches probe ``center`` itself first, and build
-    this only when they must go on: in a well-trained leaf most stop
-    there, and building the chain costs about as much as that probe."""
-    rights = range(center + 1, min(count, center + reach + 1))
-    lefts = range(center - 1, max(-1, center - reach - 1), -1)
-    both = min(len(rights), len(lefts))
-    return chain(chain.from_iterable(zip(rights, lefts)), rights[both:], lefts[both:])
+def _nearest(slots: list, center: int, reach: int, first, key) -> int:
+    """The slot a bounded search reaches first among those ``first``
+    accepts, when it probes ``center + 1``, ``center - 1``,
+    ``center + 2``, ``center - 2``, ... up to ``reach`` steps each way,
+    inside the table; -1 if it accepts none.
+
+    ``first(slots, probes, key)`` returns the first slot of the
+    ``range`` ``probes`` that it accepts, or -1.  The search scans the
+    right side to its first accepted slot, then the left side only
+    while a left slot would still come first: nearer, since at equal
+    distance the right one is probed first.  Each side is one loop
+    over a ``range`` clipped to the table.
+    """
+    right = first(slots, range(center + 1, min(len(slots), center + reach + 1)), key)
+    last = center - reach if right < 0 else 2 * center - right + 1
+    left = first(slots, range(center - 1, max(0, last) - 1, -1), key)
+    return left if left >= 0 else right
+
+
+def _first_free(slots: list, probes: range, _key) -> int:
+    for slot in probes:
+        if slots[slot] is None:
+            return slot
+    return -1
+
+
+def _first_covering(slots: list, probes: range, vpn: int) -> int:
+    """First slot whose entry covers ``vpn`` and passes its check."""
+    for slot in probes:
+        entry = slots[slot]
+        if entry is not None:
+            first = entry.vpn
+            if (
+                first <= vpn < first + (entry.page_size >> BASE_PAGE_SHIFT)
+                and entry.is_intact()
+            ):
+                return slot
+    return -1
+
+
+def _first_starting_at(slots: list, probes: range, vpn: int) -> int:
+    """First slot whose entry's first VPN is ``vpn`` and passes its
+    check."""
+    for slot in probes:
+        entry = slots[slot]
+        if entry is not None and entry.vpn == vpn and entry.is_intact():
+            return slot
+    return -1
+
+
+def _run_lines(base: int, center: int, lo: int, hi: int) -> List[int]:
+    """The cache lines of slots ``lo..hi`` in the order a search probing
+    outward from ``center`` (right before left at each distance) first
+    touches them.
+
+    A line holds :data:`SLOTS_PER_LINE` slots, so the run's lines right
+    of the centre's line are reached at distances ``k, k + 8, ...`` and
+    those left of it at ``9 - k, 17 - k, ...``, where ``k`` (1 to 8) is
+    the distance from ``center`` to the first slot of the next line:
+    the two sides alternate, starting with the nearer one, until one of
+    them runs out.
+    """
+    line = (base + center * PTE_SIZE) // CACHE_LINE_SIZE * CACHE_LINE_SIZE
+    rights = range(
+        line + CACHE_LINE_SIZE,
+        (base + hi * PTE_SIZE) // CACHE_LINE_SIZE * CACHE_LINE_SIZE + 1,
+        CACHE_LINE_SIZE,
+    )
+    lefts = range(
+        line - CACHE_LINE_SIZE,
+        (base + lo * PTE_SIZE) // CACHE_LINE_SIZE * CACHE_LINE_SIZE - 1,
+        -CACHE_LINE_SIZE,
+    )
+    if (base + center * PTE_SIZE) % CACHE_LINE_SIZE >= CACHE_LINE_SIZE // 2:
+        first, second = rights, lefts
+    else:
+        first, second = lefts, rights
+    lines = [line]
+    lines += chain.from_iterable(zip(first, second))
+    both = min(len(first), len(second))
+    lines += first[both:]
+    lines += second[both:]
+    return lines
 
 
 class GPTFullError(ReproError):
@@ -81,7 +145,19 @@ class GPTLookup:
 
 
 class GappedPageTable:
-    """A gapped array of translation entries owned by one leaf node."""
+    """A gapped array of translation entries owned by one leaf node.
+
+    ``trusted`` is True while the table provably holds no entry that
+    fails its integrity check, and the in-leaf searches then skip that
+    check on the entries they pass over.  Trust starts where the table
+    is empty and its own placement fills it from the OS's records,
+    which are never damaged: :meth:`place` or :meth:`bulk_place` into
+    an empty table, and :meth:`clear`.  It ends at the first
+    :meth:`corrupt_slot` or at an :meth:`insert` of an entry that fails
+    its check.  A table filled any other way (a test writing
+    ``_slots``) is never trusted, and every search of it checks every
+    entry it probes.
+    """
 
     def __init__(self, num_slots: int, base_paddr: int):
         if num_slots < 1:
@@ -92,6 +168,7 @@ class GappedPageTable:
         # Largest |actual - predicted| displacement of any live entry;
         # bounds every lookup's search window.
         self.max_displacement = 0
+        self.trusted = False
 
     # -- geometry ------------------------------------------------------
     @property
@@ -122,17 +199,22 @@ class GappedPageTable:
         Uses the paper's exponential search outward from the predicted
         slot to find the nearest free slot, but refuses placements
         farther than ``max_displacement`` (the caller then retrains the
-        leaf instead, keeping the lookup search window sound).
+        leaf instead, keeping the lookup search window sound).  An
+        entry that fails its integrity check withdraws the table's
+        trust.
 
         Returns the slot used.
         """
+        if not pte.is_intact():
+            self.trusted = False
+        return self._put(predicted, pte, max_displacement)
+
+    def _put(self, predicted: int, pte: PTE, max_displacement: int) -> int:
         slots = self._slots
-        slot = center = self._clamp(predicted)
-        if slots[center] is not None:
-            for slot in _around(center, len(slots), max_displacement):
-                if slots[slot] is None:
-                    break
-            else:
+        slot = self._clamp(predicted)
+        if slots[slot] is not None:
+            slot = _nearest(slots, slot, max_displacement, _first_free, None)
+            if slot < 0:
                 raise GPTFullError(
                     f"no free slot within {max_displacement} of predicted {predicted}"
                 )
@@ -149,7 +231,8 @@ class GappedPageTable:
         ``max_displacement`` (and, on :class:`GPTFullError`, the same
         partial placement).
 
-        A leaf's one placement routine, for builds and retrains.  Into
+        A leaf's one placement routine, for builds and retrains, from
+        the OS's records: into an empty table it starts trust.  Into
         an empty table, predictions that rise strictly inside the table
         put every entry straight at its predicted slot, which is where
         each insert would have put it; anything else runs the insert's
@@ -157,20 +240,21 @@ class GappedPageTable:
         """
         slots = self._slots
         count = len(predictions)
-        if (
-            not self.occupied
-            and count
-            and 0 <= predictions[0]
-            and predictions[-1] < len(slots)
-            and bool((predictions[1:] > predictions[:-1]).all())
-        ):
-            for slot, pte in zip(predictions.tolist(), ptes):
-                slots[slot] = pte
-            self.occupied = count
-            return
-        insert = self.insert
+        if not self.occupied:
+            self.trusted = True
+            if (
+                count
+                and 0 <= predictions[0]
+                and predictions[-1] < len(slots)
+                and bool((predictions[1:] > predictions[:-1]).all())
+            ):
+                for slot, pte in zip(predictions.tolist(), ptes):
+                    slots[slot] = pte
+                self.occupied = count
+                return
+        put = self._put
         for predicted, pte in zip(predictions.tolist(), ptes):
-            insert(predicted, pte, max_displacement)
+            put(predicted, pte, max_displacement)
 
     def bulk_place(self, predictions, ptes) -> None:
         """Place sorted entries by rightward packing: entry i goes to
@@ -180,8 +264,11 @@ class GappedPageTable:
         leaves at the guardrails): per-entry exponential search would
         cost O(n * displacement) there, while packing is O(n) and keeps
         entries in key order with the same worst-case displacement the
-        search window already accounts for.
+        search window already accounts for.  Like :meth:`place`, it
+        places the OS's records, and into an empty table starts trust.
         """
+        if not self.occupied:
+            self.trusted = True
         cursor = -1
         for predicted, pte in zip(predictions, ptes):
             slot = predicted if predicted > cursor else cursor + 1
@@ -230,49 +317,49 @@ class GappedPageTable:
         an entry matches if its mapping *covers* the query VPN, which
         rounds queries inside a huge page down to the huge page's entry.
 
-        ``window`` bounds the scan (slots on each side).  The number of
-        distinct cache lines touched is reported so the walker can
-        account for every additional memory access.  An entry that
-        fails its integrity check is never trusted: it flags the walk
-        (``corrupt_seen``) and the search goes on.
-
-        The first probe is the predicted slot (clamped into the table);
-        the rest follow :func:`_around`'s order.  The probed slots
-        always form one run, so a probe touches a new cache line
-        exactly when its line lies outside the run's lines so far.
+        ``window`` bounds the scan (slots on each side).  The search
+        probes the predicted slot (clamped into the table), then
+        ``predicted + 1``, ``predicted - 1``, ``predicted + 2``, ... and
+        returns the first entry that covers the query and passes its
+        integrity check.  It runs as :func:`_nearest`'s two-sided scan:
+        the probed slots always form one run, so ``line_paddrs`` (every
+        line the search touched, in first-touch order, for the walker
+        to charge) follows from the run's extent.  An entry that fails
+        its check is never returned; if the run holds one, the walk is
+        flagged (``corrupt_seen``).  On a trusted table no probed entry
+        can fail it, and only the returned entry is checked.
         """
         slots = self._slots
         center = self._clamp(predicted)
         base = self.base_paddr
-        low_line = high_line = (base + center * PTE_SIZE) // CACHE_LINE_SIZE
-        line_paddrs = [low_line * CACHE_LINE_SIZE]
-        corrupt = False
         entry = slots[center]
-        if entry is not None:
-            if not entry.is_intact():
-                corrupt = True
-            elif entry.covers(query_vpn):
-                return GPTLookup(entry, center, line_paddrs, False)
-        for slot in _around(center, len(slots), window):
-            line = (base + slot * PTE_SIZE) // CACHE_LINE_SIZE
-            if line > high_line:
-                high_line = line
-                line_paddrs.append(line * CACHE_LINE_SIZE)
-            elif line < low_line:
-                low_line = line
-                line_paddrs.append(line * CACHE_LINE_SIZE)
-            entry = slots[slot]
-            if entry is None:
-                continue
-            first = entry.vpn
-            if entry._tag != (
-                first * PTE_TAG_VPN_MULT + entry.ppn * PTE_TAG_PPN_MULT + entry.page_size
-            ) & PTE_TAG_MASK:
-                # Parity failure: never trust the entry, flag the walk.
-                corrupt = True
-            elif first <= query_vpn < first + (entry.page_size >> BASE_PAGE_SHIFT):
-                return GPTLookup(entry, slot, line_paddrs, corrupt)
-        return GPTLookup(None, -1, line_paddrs, corrupt)
+        if (
+            entry is not None
+            and entry.covers(query_vpn)
+            and (self.trusted or entry.is_intact())
+        ):
+            line = (base + center * PTE_SIZE) // CACHE_LINE_SIZE * CACHE_LINE_SIZE
+            return GPTLookup(entry, center, [line], False)
+        slot = _nearest(slots, center, window, _first_covering, query_vpn)
+        # The probed run: the whole window on a miss, else up to the hit
+        # and, on the other side, up to one slot short of its distance
+        # (a right hit) or as far (a left hit).
+        if slot < 0:
+            lo, hi = center - window, center + window
+        elif slot > center:
+            lo, hi = 2 * center - slot + 1, slot
+        else:
+            lo, hi = slot, 2 * center - slot
+        lo, hi = max(0, lo), min(len(slots) - 1, hi)
+        corrupt = not self.trusted and any(
+            e is not None and not e.is_intact() for e in slots[lo:hi + 1]
+        )
+        return GPTLookup(
+            slots[slot] if slot >= 0 else None,
+            slot,
+            _run_lines(base, center, lo, hi),
+            corrupt,
+        )
 
     def lookup_sorted(self, predicted: int, query_vpn: int, window: int) -> GPTLookup:
         """Bounded *binary* search for the entry covering ``query_vpn``.
@@ -282,15 +369,19 @@ class GappedPageTable:
         model's min and max error range" (section 2.3 / 4.3.3), costing
         O(log window) line touches instead of a linear scan.
 
-        Each step reads the nearest trustworthy entry at or left of the
-        midpoint (down to the window's left edge).  Corrupt entries
-        cannot steer the search (a flipped vpn breaks the key order it
-        relies on); they are flagged and skipped.
+        Each step walks left by index from the midpoint (down to the
+        window's left edge) to the nearest entry it may trust, and
+        touches the lines of that walk, in descending order, that no
+        earlier step touched.  On a trusted table that is the nearest
+        entry.  Otherwise every entry on the way is checked: corrupt
+        ones cannot steer the search (a flipped vpn breaks the key
+        order it relies on), so they are flagged and skipped.
         """
         slots = self._slots
         lo = max(0, predicted - window)
         hi = min(len(slots) - 1, predicted + window)
         base = self.base_paddr
+        trusted = self.trusted
         seen = set()
         line_paddrs: List[int] = []
         corrupt = False
@@ -299,27 +390,26 @@ class GappedPageTable:
         low, high = lo, hi
         while low <= high:
             mid = (low + high) // 2
-            slot = mid
-            while slot >= lo:
-                line = (base + slot * PTE_SIZE) // CACHE_LINE_SIZE
+            for slot in range(mid, lo - 1, -1):
+                entry = slots[slot]
+                if entry is not None:
+                    if trusted or entry.is_intact():
+                        break
+                    corrupt = True
+            else:
+                slot = lo - 1
+            for line in range(
+                (base + mid * PTE_SIZE) // CACHE_LINE_SIZE,
+                (base + max(slot, lo) * PTE_SIZE) // CACHE_LINE_SIZE - 1,
+                -1,
+            ):
                 if line not in seen:
                     seen.add(line)
                     line_paddrs.append(line * CACHE_LINE_SIZE)
-                entry = slots[slot]
-                if entry is not None:
-                    if entry._tag == (
-                        entry.vpn * PTE_TAG_VPN_MULT
-                        + entry.ppn * PTE_TAG_PPN_MULT
-                        + entry.page_size
-                    ) & PTE_TAG_MASK:
-                        break
-                    corrupt = True
-                slot -= 1
-            else:
+            if slot < lo:
                 # No trustworthy entry at or left of ``mid``.
                 low = mid + 1
-                continue
-            if entry.vpn <= query_vpn:
+            elif entry.vpn <= query_vpn:
                 best = slot
                 low = mid + 1
             else:
@@ -333,7 +423,7 @@ class GappedPageTable:
 
     def find_slot(self, predicted: int, vpn: int, window: int) -> int:
         """Slot index holding the intact entry whose first VPN is
-        ``vpn``: the predicted slot first, then :func:`_around`'s
+        ``vpn``: the predicted slot first, then :func:`_nearest`'s
         order.
 
         Used by unmap and permission updates, which must locate the
@@ -344,11 +434,10 @@ class GappedPageTable:
         entry = slots[center]
         if entry is not None and entry.vpn == vpn and entry.is_intact():
             return center
-        for slot in _around(center, len(slots), window):
-            entry = slots[slot]
-            if entry is not None and entry.vpn == vpn and entry.is_intact():
-                return slot
-        raise KeyError(f"vpn {vpn:#x} not present near slot {predicted}")
+        slot = _nearest(slots, center, window, _first_starting_at, vpn)
+        if slot < 0:
+            raise KeyError(f"vpn {vpn:#x} not present near slot {predicted}")
+        return slot
 
     def scan(self, query_vpn: int) -> GPTLookup:
         """Exhaustive scan of the whole table for an *intact* entry
@@ -391,6 +480,7 @@ class GappedPageTable:
         if entry is None:
             raise KeyError(f"slot {slot} is empty; cannot corrupt it")
         self._slots[slot] = entry.with_bitflip(fld=fld, bit=bit)
+        self.trusted = False
 
     def corrupt_entry_count(self) -> int:
         """Live entries currently failing their integrity check."""
@@ -406,3 +496,4 @@ class GappedPageTable:
         self._slots = [None] * self.num_slots
         self.occupied = 0
         self.max_displacement = 0
+        self.trusted = True

@@ -39,10 +39,9 @@ CACHE_LINE_SIZE = 64
 PTE_SIZE = 8
 
 # A PTE's integrity tag is ``(vpn * PTE_TAG_VPN_MULT + ppn *
-# PTE_TAG_PPN_MULT + page_size) & PTE_TAG_MASK``.  :class:`PTE` computes
-# it; the in-leaf searches of :mod:`repro.core.gapped_page_table` check
-# it inline.  Both multipliers are odd and the tag keeps 64 bits, so a
-# flip of any one of bits 0-63 of ``vpn`` or ``ppn`` changes the tag.
+# PTE_TAG_PPN_MULT + page_size) & PTE_TAG_MASK``; :class:`PTE` computes
+# and checks it.  Both multipliers are odd and the tag keeps 64 bits, so
+# a flip of any one of bits 0-63 of ``vpn`` or ``ppn`` changes the tag.
 PTE_TAG_VPN_MULT = 0x9E3779B97F4A7C15
 PTE_TAG_PPN_MULT = 0xC2B2AE3D27D4EB4F
 PTE_TAG_MASK = 0xFFFFFFFFFFFFFFFF

@@ -7,8 +7,11 @@ recovery work is visible in ``SimResult``, and with all faults disabled
 the cycle counts are bit-identical to a run with no injector at all.
 """
 
+import random
+
 import pytest
 
+from repro.core.nodes import leaf_nodes
 from repro.faults import FaultKind, FaultPlan
 from repro.serve.tenant import Tenant, TenantSpec
 from repro.sim import EXTENDED_SCHEMES, SimConfig, Simulator, run_suite
@@ -101,6 +104,64 @@ class TestRecoveryCountersVisible:
         # Every duplicate delivery bounced off the invariant guard.
         assert detail["duplicate_rejects"] == detail["duplicate_events"]
         assert r.incorrect_translations == 0
+
+
+class TestTrustedTablesHoldNoDamage:
+    """A gapped table skips the per-entry integrity check while it
+    reads as trusted, so under PTE bit flips and model perturbations
+    every trusted leaf table must hold no entry that fails its check:
+    after every walk that recovered (a repair is where trust returns),
+    after every tenant op, and at the end of each run."""
+
+    PLAN = {"seed": 3, "pte_bitflip_rate": 0.01, "model_perturb_rate": 0.005}
+
+    @staticmethod
+    def check(index) -> int:
+        """Assert the invariant over every leaf; count the trusted."""
+        tables = [leaf.table for leaf in leaf_nodes(index.root)]
+        for table in tables:
+            assert not table.trusted or table.corrupt_entry_count() == 0
+        return sum(table.trusted for table in tables)
+
+    def test_sweep_cell(self):
+        config = SimConfig(
+            num_refs=REFS, faults=FaultPlan(**self.PLAN), verify_translations=True
+        )
+        sim = Simulator("lvm", build_workload("bfs", scale=1024), config)
+        index = sim.manager.index
+        lookup, checked = index.lookup, []
+
+        def lookup_then_check(vpn):
+            walk = lookup(vpn)
+            if walk.recovered:
+                checked.append(self.check(index))
+            return walk
+
+        index.lookup = lookup_then_check
+        result = sim.run()
+        assert result.incorrect_translations == 0
+        assert result.recoveries > 0 and index.stats.recovered_retrains > 0
+        assert sum(checked) > 0
+        self.check(index)
+
+    def test_tenant_script(self):
+        tenant = Tenant(TenantSpec(name="t", scheme="lvm", fault_plan=self.PLAN))
+        index = tenant.manager.index
+        rng = random.Random(1)
+        trusted = 0
+        tenant.apply("mmap", {"start_vpn": 1 << 20, "pages": 512})
+        tenant.apply("mmap", {"start_vpn": 1 << 24, "pages": 64})
+        for batch in range(1, 31):
+            vas = [((1 << 20) + rng.randrange(512)) << 12 for _ in range(32)]
+            tenant.apply("translate", {"vas": vas})
+            trusted += self.check(index)
+            if batch % 10 == 0:
+                tenant.apply("munmap", {"start_vpn": 1 << 24})
+                trusted += self.check(index)
+                tenant.apply("mmap", {"start_vpn": 1 << 24, "pages": 64})
+                trusted += self.check(index)
+        assert index.stats.recoveries > 0 and trusted > 0
+        assert tenant.quarantined is None
 
 
 @pytest.mark.parametrize("scheme", EXTENDED_SCHEMES)

@@ -15,6 +15,7 @@ left behind, LRU orders included.
 import random
 from typing import List, Optional
 
+import numpy as np
 import pytest
 
 from repro.core.gapped_page_table import (
@@ -576,6 +577,178 @@ def test_insert_reaches_both_edges(free, predicted):
         else:
             assert fused.insert(predicted, pte, bound) == want == free
             assert fused.max_displacement == reference.max_displacement
+
+
+# Trusted tables: built and changed only through the table's own doors,
+# so the searches skip the integrity check until a door withdraws it.
+
+
+def os_records(rng: random.Random, count: int) -> List[PTE]:
+    """Intact 4 KB and 2 MB entries in VPN order, as the OS records
+    them."""
+    vpn = 512 * rng.randrange(1 << 10)
+    out = []
+    for _ in range(count):
+        huge = rng.random() < 0.1
+        if huge:
+            vpn += -vpn % 512
+        out.append(PTE(vpn, rng.randrange(1 << 24), PageSize.SIZE_2M if huge else PageSize.SIZE_4K))
+        vpn += 512 if huge else rng.randint(1, 3)
+    return out
+
+
+def fill_through_a_door(rng: random.Random, table: GappedPageTable) -> None:
+    """``place`` (rising predictions or colliding ones) or
+    ``bulk_place`` of OS records."""
+    count = table.num_slots
+    ptes = os_records(rng, rng.randint(0, count))
+    door = rng.choice(["place", "place", "bulk_place"])
+    if door == "place" and rng.random() < 0.5:
+        predictions = sorted(rng.sample(range(count), len(ptes)))
+    else:
+        predictions = sorted(rng.randrange(-3, count + 3) for _ in ptes)
+    try:
+        if door == "place":
+            table.place(np.array(predictions, dtype=np.int64), ptes, rng.choice([1, 4, count]))
+        else:
+            table.bulk_place(predictions, ptes)
+    except GPTFullError:
+        pass
+
+
+def twin(table: GappedPageTable) -> GappedPageTable:
+    """An untrusted copy, built by writing ``_slots``."""
+    copy = GappedPageTable(table.num_slots, table.base_paddr)
+    copy._slots = list(table._slots)
+    copy.occupied, copy.max_displacement = table.occupied, table.max_displacement
+    return copy
+
+
+def fresh_or_damaged(rng: random.Random, table: GappedPageTable) -> PTE:
+    """A new entry near the table's VPNs, sometimes one that fails its
+    check."""
+    live = [e for e in table._slots if e is not None]
+    vpn = rng.choice(live).vpn + rng.randint(-2, 2) if live else rng.randrange(1 << 20)
+    pte = PTE(max(0, vpn), rng.randrange(1 << 24))
+    if rng.random() < 0.15:
+        return pte.with_bitflip(rng.choice(["vpn", "ppn"]), rng.randrange(24))
+    return pte
+
+
+def check_searches(rng: random.Random, table: GappedPageTable, seen: set) -> None:
+    """Every search of ``table`` against its closure reference, then an
+    insert against the property search on an untrusted twin."""
+    for predicted, vpn, window in search_arguments(rng, table):
+        want = closure_lookup(table, predicted, vpn, window)
+        assert same_lookup(table.lookup(predicted, vpn, window), want)
+        seen.add((table.trusted, outcome(want)))
+        if want.pte is not None and want.slot != table._clamp(predicted):
+            seen.add((table.trusted, "collided"))
+        want = closure_lookup_sorted(table, predicted, vpn, window)
+        assert same_lookup(table.lookup_sorted(predicted, vpn, window), want)
+        try:
+            slot = closure_find_slot(table, predicted, vpn, window)
+        except KeyError:
+            with pytest.raises(KeyError):
+                table.find_slot(predicted, vpn, window)
+        else:
+            assert table.find_slot(predicted, vpn, window) == slot
+    reference = twin(table)
+    pte = fresh_or_damaged(rng, table)
+    predicted = rng.randrange(-5, table.num_slots + 5)
+    bound = rng.choice([0, 1, 3, table.num_slots])
+    try:
+        want = property_insert(reference, predicted, pte, bound)
+    except GPTFullError:
+        with pytest.raises(GPTFullError):
+            table.insert(predicted, pte, bound)
+    else:
+        assert table.insert(predicted, pte, bound) == want
+    assert [id(e) for e in table._slots] == [id(e) for e in reference._slots]
+    assert (table.occupied, table.max_displacement) == (
+        reference.occupied, reference.max_displacement)
+
+
+def test_searches_of_door_built_tables_match_references():
+    """Seeded op sequences through every door, each op followed by
+    every search: trust starts at a fill of an empty table and at
+    ``clear``, ends at ``corrupt_slot`` and at an insert of an entry
+    that fails its check, and a trusted table never holds damage."""
+    seen: set = set()
+    for seed in range(30):
+        rng = random.Random(seed)
+        count = rng.randint(1, 150)
+        base = rng.choice([0, 1 << 30, 8 * rng.randrange(1 << 24), 64 * 5 + 24])
+        table = GappedPageTable(count, base)
+        assert not table.trusted
+        fill_through_a_door(rng, table)
+        assert table.trusted
+        check_searches(rng, table, seen)
+        for _ in range(25):
+            trusted = table.trusted
+            op = rng.choice(["insert", "remove", "corrupt", "clear", "expand", "fill"])
+            live = [slot for slot, entry in enumerate(table._slots) if entry is not None]
+            if op == "insert":
+                pte = fresh_or_damaged(rng, table)
+                try:
+                    table.insert(
+                        rng.randrange(table.num_slots), pte, rng.choice([2, table.num_slots]))
+                except GPTFullError:
+                    pass
+                trusted = trusted and pte.is_intact()
+            elif op == "remove" and live:
+                table.remove(rng.choice(live))
+            elif op == "corrupt" and live:
+                table.corrupt_slot(rng.choice(live), rng.choice(["vpn", "ppn"]), rng.randrange(24))
+                trusted = False
+            elif op == "clear":
+                table.clear()
+                trusted = True
+            elif op == "expand":
+                table.expand(rng.randrange(20), rng.choice([None, 8 * rng.randrange(1 << 24) + 8]))
+            elif op == "fill":
+                trusted = trusted or not table.occupied
+                fill_through_a_door(rng, table)
+            assert table.trusted == trusted
+            assert not table.trusted or table.corrupt_entry_count() == 0
+            check_searches(rng, table, seen)
+            assert not table.trusted or table.corrupt_entry_count() == 0
+    assert {
+        (True, "hit"), (True, "miss"), (True, "collided"),
+        (False, "hit"), (False, "collided"),
+        (False, "hit+corrupt"), (False, "miss+corrupt"),
+    } <= seen
+    assert (True, "hit+corrupt") not in seen and (True, "miss+corrupt") not in seen
+
+
+@pytest.mark.parametrize("center", [0, 3, 4, 7, 12, 15])
+def test_trusted_searches_probe_right_before_left(center):
+    """Two intact entries for one VPN, placed at equal distances on
+    both sides of the predicted slot (one side may fall off the table),
+    and a 2 MB entry covering it on the other side: each search of the
+    trusted table returns the entry it reaches first."""
+    for distance in range(1, 16):
+        pairs = ((PTE(1000, 5), PTE(1000, 6)), (PTE(512, 7, PageSize.SIZE_2M), PTE(1000, 8)))
+        for left, right in pairs:
+            for base in (0, 64 * 3 + 8, 64 * 3 + 40):
+                table = GappedPageTable(16, base)
+                sides = ((center - distance, left), (center + distance, right))
+                placed = [(slot, pte) for slot, pte in sides if 0 <= slot < 16]
+                table.place(np.array([slot for slot, _ in placed], dtype=np.int64),
+                            [pte for _, pte in placed], 16)
+                assert table.trusted
+                for window in (distance - 1, distance, 20):
+                    want = closure_lookup(table, center, 1000, window)
+                    assert same_lookup(table.lookup(center, 1000, window), want)
+                    assert same_lookup(table.lookup_sorted(center, 1000, window),
+                                       closure_lookup_sorted(table, center, 1000, window))
+                    try:
+                        slot = closure_find_slot(table, center, 1000, window)
+                    except KeyError:
+                        with pytest.raises(KeyError):
+                            table.find_slot(center, 1000, window)
+                    else:
+                        assert table.find_slot(center, 1000, window) == slot
 
 
 # -- the ECPT walk -----------------------------------------------------------

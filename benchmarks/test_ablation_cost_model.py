@@ -15,14 +15,13 @@ from repro.workloads import build_workload
 
 def build_with(config: LVMConfig, workload):
     """The LVM index a process over ``workload``'s VMAs builds."""
-    stack = TranslationStack("lvm", vmas=workload.vmas, lvm_config=config)
-    return stack.manager.index
+    return TranslationStack("lvm", vmas=workload.vmas, lvm_config=config).page_table
 
 
 def probe(index, workload, n=15_000):
     trace = workload.trace(n, seed=2)
     for va in trace:
-        index.lookup(int(va) >> 12)
+        index.walk(int(va) >> 12)
     return index.stats.collision_rate
 
 

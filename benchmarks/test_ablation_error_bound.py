@@ -48,7 +48,7 @@ def test_ablation_c_err(benchmark):
             index = LearnedIndex(BumpAllocator(), config)
             index.bulk_build(list(ptes))
             for pte in ptes[::7]:
-                index.lookup(pte.vpn)
+                index.walk(pte.vpn)
             rows.append((
                 c_err,
                 index.index_size_bytes,
@@ -80,7 +80,7 @@ def test_ablation_spline_error(benchmark):
             index = LearnedIndex(BumpAllocator(), config)
             index.bulk_build(list(ptes))
             for pte in ptes[::13]:
-                index.lookup(pte.vpn)
+                index.walk(pte.vpn)
             rows.append((
                 max_error, index.index_size_bytes,
                 index.stats.collision_rate,

@@ -44,7 +44,7 @@ def test_sec73_fragmentation(benchmark):
     base_cycles = results["none"][1].cycles
     rows = []
     for kind, (sim, res) in results.items():
-        index = sim.manager.index
+        index = sim.page_table
         leaves = leaf_nodes(index.root)
         max_table = max(l.table.size_bytes for l in leaves)
         rows.append((
@@ -60,7 +60,7 @@ def test_sec73_fragmentation(benchmark):
         title="Section 7.3 — LVM under physical memory fragmentation",
     ))
     capped = results["cap256k"]
-    for leaf in leaf_nodes(capped[0].manager.index.root):
+    for leaf in leaf_nodes(capped[0].page_table.root):
         assert leaf.table.size_bytes <= 256 << 10
     for kind, (sim, res) in results.items():
         # Paper: LWC hit rates stay above 99% and performance is flat.

@@ -44,11 +44,11 @@ def run_request_stream(scheme: str):
             cycles += sim.hierarchy.access(pte.translate(va)) * core.data_stall_exposure
         if scheme == "lvm" and r % 50 == 0:
             # Growth between requests: LVM management work happens here.
-            before = sim.manager.index.stats.local_retrains
+            before = sim.page_table.stats.local_retrains
             sim.page_table.map(PTE(vpn=growth_base + growth_cursor,
                                    ppn=growth_cursor))
             growth_cursor += 1
-            retrained = sim.manager.index.stats.local_retrains - before
+            retrained = sim.page_table.stats.local_retrains - before
             cycles += retrained * cfg.lvm_costs.local_retrain_cycles
         latencies[r] = cycles
     return latencies

@@ -40,7 +40,7 @@ def demo_corruption_recovery() -> None:
     leaf.table.corrupt_slot(slot, fld="ppn", bit=7)
     print(f"   corrupted slot {slot} (VPN {entry.vpn:#x}), tag now stale")
 
-    walk = index.lookup(entry.vpn)
+    walk = index.walk(entry.vpn)
     assert walk.pte.ppn == entry.ppn, "recovery must restore the real PPN"
     print(f"   lookup({entry.vpn:#x}) -> PPN {walk.pte.ppn:#x} "
           f"(correct), recovered={walk.recovered}")

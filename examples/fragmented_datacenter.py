@@ -36,7 +36,7 @@ def main() -> None:
           "on the fragmented server...")
     workload = build_workload("mem$")
     stack = TranslationStack("lvm", vmas=workload.vmas, allocator=buddy)
-    index = stack.manager.index
+    index = stack.page_table
     leaves = leaf_nodes(index.root)
     table_sizes = sorted(leaf.table.size_bytes for leaf in leaves)
     print(f"  index size     : {index.index_size_bytes} bytes")
@@ -50,7 +50,7 @@ def main() -> None:
     # -- 3. Lookups still single-access ------------------------------------
     trace = workload.trace(20_000, seed=1)
     for va in trace:
-        index.lookup(int(va) >> 12)
+        index.walk(int(va) >> 12)
     print(f"  collision rate : {index.stats.collision_rate:.4f} over "
           f"{index.stats.lookups} lookups")
     assert index.stats.collision_rate < 0.05

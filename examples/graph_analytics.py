@@ -56,7 +56,7 @@ def main() -> None:
     ))
 
     lvm_sim, lvm_res = results["lvm"]
-    index = lvm_sim.manager.index
+    index = lvm_sim.page_table
     print(f"\nLVM learned index: {index.index_size_bytes} bytes, "
           f"depth {index.depth}, {index.num_leaves} leaves, "
           f"LWC hit rate {lvm_res.walk_cache_hit_rate:.4f}, "

@@ -43,7 +43,7 @@ def main() -> None:
         ("1 GB page interior", (1 << 18) + 99_999),
     ]
     for label, vpn in probes:
-        walk = index.lookup(vpn)
+        walk = index.walk(vpn)
         assert walk.hit, label
         print(f"  {label:20s} VPN {vpn:>8}: size field "
               f"{walk.pte.page_size.encode()} ({walk.pte.page_size.name}), "
@@ -72,7 +72,7 @@ def main() -> None:
         for i in range(256)
     ]
     odd_index.bulk_build(odd)
-    walk = odd_index.lookup(base + 16 * 100 + 9)
+    walk = odd_index.walk(base + 16 * 100 + 9)
     assert walk.hit and walk.pte is odd[100]
     print(f"\nArbitrary 64 KB pages: index "
           f"{odd_index.index_size_bytes} bytes, lookup of an interior "

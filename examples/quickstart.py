@@ -34,7 +34,7 @@ def main() -> None:
     print(f"  leaves    : {index.num_leaves} gapped page tables")
 
     # -- 3. Translate: the paper's VPN = 139 ------------------------------
-    walk = index.lookup(139)
+    walk = index.walk(139)
     print(f"\nTranslate VPN 139:")
     print(f"  hit       : {walk.hit}")
     print(f"  PPN       : {walk.pte.ppn:#x}")
@@ -54,20 +54,20 @@ def main() -> None:
     print(f"  rescales      : {stats.rescales}")
     print(f"  local retrains: {stats.local_retrains}")
     print(f"  full rebuilds : {stats.full_rebuilds}")
-    assert index.lookup(399).hit
+    assert index.walk(399).hit
 
     # -- 5. Mix in a huge page ---------------------------------------------
     # One structure serves all page sizes (section 4.4): a 2 MB page is
     # keyed by its first 4 KB VPN; queries inside it round down.
     huge = PTE(vpn=512 * 16, ppn=0x8000, page_size=PageSize.SIZE_2M)
     index.insert(huge)
-    inner = index.lookup(512 * 16 + 123)
+    inner = index.walk(512 * 16 + 123)
     print(f"\n2 MB page at VPN {huge.vpn}: query {512 * 16 + 123} -> "
           f"PPN {inner.pte.ppn:#x} (page size {inner.pte.page_size.name})")
 
     # -- 6. Collision statistics -------------------------------------------
     for vpn in range(100, 150):
-        index.lookup(vpn)
+        index.walk(vpn)
     print(f"\nCollision rate over the heap: {stats.collision_rate:.4f} "
           f"(paper: 0.2% average)")
 

@@ -6,13 +6,14 @@ Public API tour:
 
 * :mod:`repro.core` — the learned-index page table (the paper's
   contribution): linear models in Q44.20 fixed point, gapped page
-  tables, the cost model, ASLR rebasing, insert/remove/rebuild.
+  tables, the cost model, ASLR rebasing, map/unmap/rebuild.
 * :mod:`repro.pagetables` — the baselines: radix, hashed (Blake2),
   elastic cuckoo (ECPT), flattened (FPT), and the single-access ideal.
 * :mod:`repro.mmu` — the hardware model: caches, TLBs, PWC/LWC/CWC walk
   caches, and per-scheme page walkers.
-* :mod:`repro.kernel` — the OS layer: VMAs, THP policy, ASLR, demand
-  paging, and the LVM manager (the paper's Linux-prototype analogue).
+* :mod:`repro.kernel` — the OS layer (the paper's Linux-prototype
+  analogue): VMAs, THP policy, ASLR, demand paging, and the kernel
+  index every process shares.
 * :mod:`repro.mem` — physical memory: buddy allocator, fragmentation.
 * :mod:`repro.schemes` — the scheme registry: every translation scheme
   as a first-class, self-describing descriptor (factories, capability
@@ -29,7 +30,6 @@ Public API tour:
 from repro.core import LearnedIndex, LVMConfig
 from repro.errors import ConfigError, CorruptionError, ReproError, TranslationError
 from repro.faults import FaultKind, FaultPlan
-from repro.kernel import LVMManager
 from repro.sim import SimConfig, Simulator, run_suite
 from repro.types import PTE, PageSize
 from repro.workloads import build_workload
@@ -42,7 +42,6 @@ __all__ = [
     "FaultKind",
     "FaultPlan",
     "LVMConfig",
-    "LVMManager",
     "LearnedIndex",
     "PTE",
     "PageSize",

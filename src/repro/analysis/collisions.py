@@ -16,7 +16,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.kernel.manager import LVMManager
+from repro.core.learned_index import LearnedIndex
 from repro.kernel.process import Process
 from repro.mem.allocator import BumpAllocator
 from repro.pagetables.ecpt import ECPT
@@ -41,9 +41,9 @@ class CollisionRow:
     index_peak_bytes: int
 
 
-def build_lvm_for(workload: BuiltWorkload, thp: bool = False) -> LVMManager:
-    """An LVM manager populated with the workload's address space."""
-    return TranslationStack("lvm", SimConfig(thp=thp), vmas=workload.vmas).manager
+def build_lvm_for(workload: BuiltWorkload, thp: bool = False) -> LearnedIndex:
+    """An LVM index populated with the workload's address space."""
+    return TranslationStack("lvm", SimConfig(thp=thp), vmas=workload.vmas).page_table
 
 
 def collision_study(
@@ -56,7 +56,7 @@ def collision_study(
     """Measure LVM vs. Blake2-hash-table collision rates for one
     workload, driving both with the workload's own access trace."""
     workload = build_workload(workload_name, scale=scale, seed=seed)
-    index = build_lvm_for(workload, thp).index
+    index = build_lvm_for(workload, thp)
     peak = index.index_size_bytes
     hash_table = HashedPageTable(BumpAllocator(), max_load=0.6)
     Process(hash_table, thp=thp).mmap_all(workload.vmas)
@@ -64,7 +64,7 @@ def collision_study(
     trace = workload.trace(num_lookups, seed + 1)
     vpns = (trace >> 12).astype(np.int64)
     for vpn in vpns.tolist():
-        walk = index.lookup(int(vpn))
+        walk = index.walk(int(vpn))
         # The hash-table comparison measures the *hash function's* slot
         # collisions at load factor 0.6 (the paper's framing), so it is
         # queried with the entry's own key; the index handles the
@@ -99,7 +99,7 @@ def memory_consumption_study(
 ) -> MemoryConsumptionRow:
     """Page-table space overhead versus the 8 B/translation minimum."""
     workload = build_workload(workload_name, scale=scale, seed=seed)
-    index = build_lvm_for(workload).index
+    index = build_lvm_for(workload)
     minimum = index.num_mappings * PTE_SIZE
     lvm_bytes = index.table_bytes + index.index_size_bytes
     ecpt, radix = ECPT(BumpAllocator()), RadixPageTable(BumpAllocator())
@@ -127,8 +127,7 @@ def index_size_table(
         workload = build_workload(name, scale=scale, seed=seed)
         row = {}
         for label, thp in (("4KB", False), ("THP", True)):
-            manager = build_lvm_for(workload, thp)
-            row[label] = manager.index.index_size_bytes
+            row[label] = build_lvm_for(workload, thp).index_size_bytes
         table[name] = row
     return table
 
@@ -144,6 +143,5 @@ def scaling_study(
         workload = build_workload(
             "mem$", scale=scale, seed=seed, footprint_override=gb << 30
         )
-        manager = build_lvm_for(workload, thp=False)
-        sizes[gb] = manager.index.index_size_bytes
+        sizes[gb] = build_lvm_for(workload, thp=False).index_size_bytes
     return sizes

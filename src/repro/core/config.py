@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
+from repro.core.gapped_page_table import SLOTS_PER_LINE
 from repro.types import BASE_PAGE_SIZE
 
 # Coverage-per-byte floors (section 4.2.3): nodes must cover at least
@@ -65,9 +66,6 @@ class LVMConfig:
         ]
     )
 
-    # Slots per gapped-table cache line: 64 B line / 8 B slot.
-    slots_per_line: int = 8
-
     @property
     def min_insert_distance_pages(self) -> int:
         return self.min_insert_distance_bytes // BASE_PAGE_SIZE
@@ -77,11 +75,12 @@ class LVMConfig:
         """Largest tolerable training error, in table slots.
 
         A bounded search over ±E slots around the prediction touches at
-        most ``ceil(2E / slots_per_line)`` cache lines beyond the first;
-        bounding E by ``c_err * slots_per_line / 2`` keeps the worst
-        case within C_err additional memory accesses.
+        most ``ceil(2E / SLOTS_PER_LINE)`` cache lines beyond the first
+        (a gapped table's 64 B lines hold eight slots); bounding E by
+        ``c_err * SLOTS_PER_LINE / 2`` keeps the worst case within
+        C_err additional memory accesses.
         """
-        return max(1, (self.c_err * self.slots_per_line) // 2)
+        return max(1, (self.c_err * SLOTS_PER_LINE) // 2)
 
     def min_coverage_per_byte(self, depth: int) -> int:
         """Coverage floor applied when creating children at ``depth``."""
@@ -107,11 +106,6 @@ class LVMConfig:
         for name in ("x1", "x2", "x3"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"cost-model weight {name} cannot be negative")
-        if self.slots_per_line < 1 or 64 % (self.slots_per_line or 1) != 0:
-            raise ConfigError(
-                f"slots_per_line={self.slots_per_line!r} must be a positive "
-                "divisor of the 64 B cache line"
-            )
         if self.min_insert_distance_bytes < BASE_PAGE_SIZE:
             raise ConfigError(
                 "min_insert_distance_bytes="
@@ -128,7 +122,7 @@ class LVMConfig:
             )
         if self.max_leaf_error_slots > MAX_INT:
             raise ConfigError(
-                "c_err x slots_per_line produces an error bound beyond the "
+                "c_err x SLOTS_PER_LINE produces an error bound beyond the "
                 "Q44.20 integer range"
             )
         if not self.coverage_per_byte:

@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.core.config import LVMConfig
 from repro.core.fixed_point import MODEL_BYTES
+from repro.core.gapped_page_table import SLOTS_PER_LINE
 from repro.core.linear_model import LinearModel
 from repro.core.spline import num_segments
 from repro.types import BASE_PAGE_SIZE, PTE_SIZE
@@ -161,7 +162,7 @@ def plan_leaf(
     colliding = int((disp_est > 0).sum())
     collision_rate = colliding / n
     if colliding:
-        lines = (disp_est + config.slots_per_line - 1) // config.slots_per_line
+        lines = (disp_est + SLOTS_PER_LINE - 1) // SLOTS_PER_LINE
         avg_extra = float(lines[disp_est > 0].mean())
     else:
         avg_extra = 0.0
@@ -172,18 +173,18 @@ def plan_leaf(
     interior = predict_array(model, eff_ends - 1) - predicted
     est_max_disp = int(disp_est.max(initial=0))
     max_window = int(interior.max(initial=0)) + est_max_disp
-    num_slots = max(8, int(np.ceil(config.ga_scale * n)) + config.slots_per_line)
+    num_slots = max(8, int(np.ceil(config.ga_scale * n)) + SLOTS_PER_LINE)
     # The table must reach every predicted slot — but a degenerate
     # model (pathological key space at the guardrails) must not demand
     # an unbounded table; clamp and let insertion displacement absorb
     # the overshoot (the leaf is marked out-of-bound below anyway).
     top = int(predicted.max(initial=0))
     cap = max(4096, int(8 * config.ga_scale * n))
-    if top + 1 + config.slots_per_line > num_slots:
-        num_slots = min(top + 1 + config.slots_per_line, cap)
+    if top + 1 + SLOTS_PER_LINE > num_slots:
+        num_slots = min(top + 1 + SLOTS_PER_LINE, cap)
     # A leaf is acceptable if its worst-case bounded search obeys C_err
     # and the model does not waste table space by overshooting wildly.
-    space_ok = num_slots <= config.ga_scale * n * 4 + 8 * config.slots_per_line
+    space_ok = num_slots <= config.ga_scale * n * 4 + 8 * SLOTS_PER_LINE
     within = max_window <= config.max_leaf_error_slots and space_ok
     return LeafPlan(
         model, n, num_slots, collision_rate, avg_extra, max_window, within,

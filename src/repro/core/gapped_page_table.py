@@ -16,7 +16,7 @@ hardware walker turns those into memory accesses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress, count, islice
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -491,6 +491,12 @@ class GappedPageTable:
     def entries(self) -> List[Tuple[int, PTE]]:
         """All (slot, entry) pairs, in slot order."""
         return [(i, e) for i, e in enumerate(self._slots) if e is not None]
+
+    def live_slot(self, k: int) -> int:
+        """The slot of the ``k``-th live entry in slot order, which is
+        ``entries()[k][0]``, without building that list (every
+        :class:`PTE` is truthy)."""
+        return next(islice(compress(count(), self._slots), k, None))
 
     def clear(self) -> None:
         self._slots = [None] * self.num_slots

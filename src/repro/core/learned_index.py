@@ -1,4 +1,10 @@
-"""The LVM learned index: build, train, lookup, insert (paper section 4).
+"""The LVM learned index: build, train, walk, insert (paper section 4).
+
+It is LVM's page table.  The OS streams a process's map and unmap
+events into it (section 5.3): its start-up mappings in one batch, then
+one :meth:`LearnedIndex.map` or :meth:`LearnedIndex.unmap` per event.
+The index decides every growth step itself: an insert, a rescale, a
+local retrain, or a rebuild that reprograms the ASLR rebase registers.
 
 The index is a shallow hierarchy of linear models.  Internal nodes
 route a VPN to one of their children (which evenly divide the parent's
@@ -19,6 +25,7 @@ from __future__ import annotations
 import time
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
+from functools import wraps
 from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -27,7 +34,7 @@ import numpy as np
 from repro.core.config import LVMConfig
 from repro.core.cost_model import LeafPlan, choose_branching, plan_leaf
 from repro.core.fixed_point import MODEL_BYTES
-from repro.core.gapped_page_table import GappedPageTable, GPTFullError
+from repro.core.gapped_page_table import SLOTS_PER_LINE, GappedPageTable, GPTFullError
 from repro.core.linear_model import fit_even_division
 from repro.core.rebase import AddressSpaceRebaser, IdentityRebaser, cluster_regions
 from repro.core.nodes import (
@@ -53,9 +60,26 @@ def _page_counts(ptes: List[PTE]) -> np.ndarray:
     return sizes >> BASE_PAGE_SHIFT
 
 
+def _management(method):
+    """Add each call's wall time to ``stats.management_time_s`` once: a
+    rebuild inside the call adds its own time, which the call's
+    interval already covers, so the total is set rather than summed."""
+
+    @wraps(method)
+    def timed(self, arg):
+        before = self.stats.management_time_s
+        start = time.perf_counter()
+        try:
+            return method(self, arg)
+        finally:
+            self.stats.management_time_s = before + (time.perf_counter() - start)
+
+    return timed
+
+
 @dataclass
 class LVMWalk:
-    """Trace of one learned-index lookup, for the hardware walker.
+    """Trace of one learned-index walk, for the hardware walker.
 
     ``node_accesses`` lists (level, offset, paddr) for every model
     visited (candidates for LWC hits); ``pte_line_paddrs`` lists the
@@ -135,7 +159,8 @@ class LVMStats:
 
 
 class LearnedIndex:
-    """LVM's learned index over the virtual address space of a process."""
+    """LVM's learned index over the virtual address space of a process:
+    the scheme's page table."""
 
     def __init__(
         self,
@@ -159,21 +184,91 @@ class LearnedIndex:
         # id(table) -> (table, paddr, bytes); the table reference keeps
         # the id unique for as long as the allocation is tracked.
         self._table_allocs: Dict[int, Tuple[GappedPageTable, int, int]] = {}
+        # The start-up batch's deferred mappings by VPN; None while no
+        # batch is open.
+        self._batch: Optional[Dict[int, PTE]] = None
+
+    # ------------------------------------------------------------------
+    # The OS's page-table interface (section 5.3)
+    # ------------------------------------------------------------------
+    def begin_batch(self) -> None:
+        """Defer index construction while the process's initial VMAs
+        stream in (process startup maps thousands of pages; the OS
+        builds the index once at the end, section 4.3.1)."""
+        if self._batch is None:
+            self._batch = {}
+
+    def end_batch(self) -> None:
+        """Close the batch: build the index over the live and deferred
+        mappings, programming the rebase registers from them."""
+        batch, self._batch = self._batch, None
+        if batch:
+            self._build_rebased([*self.mappings(), *batch.values()])
+
+    def map(self, pte: PTE) -> None:
+        """Install a translation: reject a duplicate of a live or
+        deferred mapping, defer it inside a batch, rebuild with
+        reprogrammed registers when it lies outside every rebased
+        region's headroom, otherwise :meth:`insert` it (section
+        4.3.4)."""
+        vpn = pte.vpn
+        batch = self._batch
+        if vpn in self._mappings or (batch is not None and vpn in batch):
+            # The duplicate guard holds while deferring too: a replayed
+            # mmap event is rejected here instead of poisoning the
+            # deferred bulk build.
+            raise DuplicateMappingError(f"VPN {vpn:#x} is already mapped")
+        if batch is not None:
+            batch[vpn] = pte
+        elif not self.rebaser.in_headroom(vpn):
+            # New segment outside every rebased region (program start-up
+            # or a fresh far mmap arena; rare).
+            self._build_rebased([*self.mappings(), pte])
+            self.stats.full_rebuilds += 1
+            self.stats.lwc_flushes += 1
+        else:
+            self.insert(pte)
+
+    def map_many(self, ptes: List[PTE]) -> None:
+        """:meth:`map` each of ``ptes`` in order.  Inside a batch,
+        duplicate-free entries join the deferred mappings behind one
+        set-based check; a duplicate (or no open batch) takes the
+        per-entry path, which raises where :meth:`map` would."""
+        batch = self._batch
+        if batch is not None:
+            new = dict(zip(map(_VPN, ptes), ptes))
+            if (
+                len(new) == len(ptes)
+                and new.keys().isdisjoint(batch)
+                and not (self._mappings and any(map(self._mappings.__contains__, new)))
+            ):
+                batch.update(new)
+                return
+        for pte in ptes:
+            self.map(pte)
 
     # ------------------------------------------------------------------
     # Construction and training (sections 4.3.1 / 4.3.2)
     # ------------------------------------------------------------------
-    def bulk_build(self, ptes: Iterable[PTE], program_rebaser: bool = False) -> None:
-        """Initialize the index over an existing set of mappings.
+    def bulk_build(self, ptes: Iterable[PTE]) -> None:
+        """Initialize the index over an existing set of mappings
+        (section 4.3.1), under the current rebase registers."""
+        self._rebuild(initial=True, columns=self._adopt(ptes))
 
-        The OS calls this when mapping the first page(s) of a process
-        (section 4.3.1).  The mappings are sorted and checked for
-        duplicate VPNs once; with ``program_rebaser`` the ASLR rebase
-        registers are then programmed from the same sorted mappings
-        (section 5.2): they are clustered into regions and packed into
-        a compact canonical space, so the Q44.20 models stay
-        well-conditioned regardless of randomization.
-        """
+    def _build_rebased(self, ptes: List[PTE]) -> None:
+        """Program the ASLR rebase registers from ``ptes``, then build
+        the index over them (section 5.2): the mappings are clustered
+        into regions and packed into a compact canonical space, so the
+        Q44.20 models stay well-conditioned regardless of
+        randomization."""
+        columns = self._adopt(ptes)
+        self.rebaser = AddressSpaceRebaser(cluster_regions(*columns[1:]))
+        self._rebuild(initial=True, columns=columns)
+
+    def _adopt(self, ptes: Iterable[PTE]):
+        """Make ``ptes`` the authoritative mapping set, sorted and
+        checked for duplicate VPNs once; returns (PTEs, VPN column, span
+        column) in VPN order."""
         ordered = sorted(ptes, key=_VPN)
         vpns = list(map(_VPN, ordered))
         mappings = dict(zip(vpns, ordered))
@@ -182,10 +277,7 @@ class LearnedIndex:
             raise DuplicateMappingError(f"duplicate mapping for VPN {dup:#x}")
         self._mappings = mappings
         self._sorted_vpns = vpns
-        columns = (ordered, np.array(vpns, dtype=np.int64), _page_counts(ordered))
-        if program_rebaser and ordered:
-            self.rebaser = AddressSpaceRebaser(cluster_regions(*columns[1:]))
-        self._rebuild(initial=True, columns=columns)
+        return ordered, np.array(vpns, dtype=np.int64), _page_counts(ordered)
 
     def _rebuild(self, initial: bool = False, columns=None) -> None:
         """Train the whole index over the current mappings.  ``columns``
@@ -327,7 +419,7 @@ class LearnedIndex:
             self._pack_degraded(leaf, plan.predictions, ptes)
             return leaf
         cap = max(self.config.max_leaf_error_slots, plan.max_window)
-        cap += self.config.slots_per_line
+        cap += SLOTS_PER_LINE
         try:
             table.place(plan.predictions, ptes, cap)
         except GPTFullError:
@@ -486,7 +578,7 @@ class LearnedIndex:
     # ------------------------------------------------------------------
     # Lookup (the hardware page walk, section 4.6.2)
     # ------------------------------------------------------------------
-    def lookup(self, vpn: int) -> LVMWalk:
+    def walk(self, vpn: int) -> LVMWalk:
         """Translate a 4 KB VPN; queries inside a large page round down
         to the large page's entry (section 4.4).
 
@@ -635,7 +727,7 @@ class LearnedIndex:
         permission changes — section 5.2): the authoritative mapping
         covering ``vpn``, if any.  It reads the OS's own records, not
         the learned structure, so it charges no walk and repairs
-        nothing; damage is found and repaired by :meth:`lookup`."""
+        nothing; damage is found and repaired by :meth:`walk`."""
         vpns = self._sorted_vpns
         idx = bisect_right(vpns, vpn) - 1
         if idx < 0:
@@ -646,14 +738,9 @@ class LearnedIndex:
     # ------------------------------------------------------------------
     # Insertion (section 4.3.4)
     # ------------------------------------------------------------------
+    @_management
     def insert(self, pte: PTE) -> None:
-        start_time = time.perf_counter()
-        try:
-            self._insert(pte)
-        finally:
-            self.stats.management_time_s += time.perf_counter() - start_time
-
-    def _insert(self, pte: PTE) -> None:
+        """Insert one mapping under the current rebase registers."""
         if pte.vpn in self._mappings:
             raise DuplicateMappingError(f"VPN {pte.vpn:#x} is already mapped")
         self.stats.inserts += 1
@@ -789,7 +876,7 @@ class LearnedIndex:
         # so a sparse hole on the right cannot bloat the table.
         last_key = int(eff_keys[-1]) if len(eff_keys) else leaf.lo
         horizon = min(leaf.hi, last_key + self.config.min_insert_distance_pages)
-        provision = plan.model.predict(horizon) + self.config.slots_per_line + 1
+        provision = plan.model.predict(horizon) + SLOTS_PER_LINE + 1
         if provision > plan.num_slots:
             plan.num_slots = provision
         if plan.num_slots > leaf.table.num_slots:
@@ -808,10 +895,7 @@ class LearnedIndex:
         leaf.num_keys = len(entries)
         leaf.degraded = False
         leaf.sorted_layout = False
-        cap = (
-            max(self.config.max_leaf_error_slots, plan.max_window)
-            + self.config.slots_per_line
-        )
+        cap = max(self.config.max_leaf_error_slots, plan.max_window) + SLOTS_PER_LINE
         try:
             leaf.table.place(plan.predictions, entries, cap)
         except GPTFullError:
@@ -834,7 +918,7 @@ class LearnedIndex:
             node = node.children[-1]
         leaf: LeafNode = node
         leaf.hi = new_hi
-        needed = leaf.model.predict(new_hi) + self.config.slots_per_line + 1
+        needed = leaf.model.predict(new_hi) + SLOTS_PER_LINE + 1
         extra = needed - leaf.table.num_slots
         if extra > 0:
             old_table, old_paddr, old_bytes = self._table_allocs.pop(id(leaf.table))
@@ -855,13 +939,13 @@ class LearnedIndex:
     # ------------------------------------------------------------------
     # Removal (section 5.2, "Free")
     # ------------------------------------------------------------------
-    def remove(self, vpn: int) -> PTE:
+    @_management
+    def unmap(self, vpn: int) -> PTE:
         """Unmap the mapping whose *first* VPN is ``vpn``.
 
         Clears the table slot(s) but keeps the model and the gap — the
         OS expects nearby reuse (section 5.2).
         """
-        start_time = time.perf_counter()
         pte = self._mappings.pop(vpn, None)
         if pte is None:
             raise TranslationError(f"VPN {vpn:#x} is not mapped")
@@ -887,12 +971,10 @@ class LearnedIndex:
                 if not self._repair_leaf(leaf):
                     self._rebuild()
                     self.stats.recovered_rebuilds += 1
-                    self.stats.management_time_s += time.perf_counter() - start_time
                     return pte
             if leaf.hi >= end or leaf.hi <= query:
                 break
             query = leaf.hi
-        self.stats.management_time_s += time.perf_counter() - start_time
         return pte
 
     def _index_of_sorted(self, vpn: int) -> int:
@@ -941,11 +1023,8 @@ class LearnedIndex:
         return max(0, self.table_bytes - self.min_required_bytes)
 
     def mappings(self) -> List[PTE]:
+        """The authoritative mapping list, in VPN order."""
         return [self._mappings[v] for v in self._sorted_vpns]
-
-    def contains(self, vpn: int) -> bool:
-        """Whether ``vpn`` starts a live mapping (authoritative set)."""
-        return vpn in self._mappings
 
     # ------------------------------------------------------------------
     # Reclaim (section 7.3, "Memory Consumption")

@@ -31,8 +31,13 @@ kernel event dup       duplicate maps rejected by the kernel's
 from __future__ import annotations
 
 import random
-from typing import Dict, Optional
+from typing import Dict
 
+from repro.core.fixed_point import FRACTION_BITS, saturate_raw
+from repro.core.gapped_page_table import SLOTS_PER_LINE
+from repro.core.learned_index import LearnedIndex
+from repro.core.linear_model import LinearModel
+from repro.core.nodes import leaf_nodes
 from repro.errors import OutOfPhysicalMemory
 from repro.faults.plan import FaultPlan
 
@@ -128,11 +133,9 @@ class FaultInjector:
             self._poison_walk_cache(sim)
 
     def _random_leaf(self, sim, rng: random.Random, occupied_only: bool = True):
-        index = getattr(getattr(sim, "manager", None), "index", None)
-        if index is None or index.root is None:
+        index = sim.page_table
+        if not isinstance(index, LearnedIndex) or index.root is None:
             return None
-        from repro.core.nodes import leaf_nodes
-
         leaves = leaf_nodes(index.root)
         if occupied_only:
             leaves = [leaf for leaf in leaves if leaf.table.occupied]
@@ -146,8 +149,7 @@ class FaultInjector:
         leaf = self._random_leaf(sim, rng)
         if leaf is None:
             return
-        entries = leaf.table.entries()
-        slot, _entry = entries[rng.randrange(len(entries))]
+        slot = leaf.table.live_slot(rng.randrange(leaf.table.occupied))
         fld = "vpn" if rng.random() < 0.5 else "ppn"
         bit = rng.randrange(40)
         leaf.table.corrupt_slot(slot, fld=fld, bit=bit)
@@ -159,14 +161,10 @@ class FaultInjector:
         leaf = self._random_leaf(sim, rng)
         if leaf is None:
             return
-        from repro.core.fixed_point import FRACTION_BITS, saturate_raw
-        from repro.core.linear_model import LinearModel
-
-        index = sim.manager.index
         window = leaf.search_window + leaf.table.max_displacement
-        shift_slots = window + index.config.max_leaf_error_slots + (
-            2 * index.config.slots_per_line
-        ) + 4
+        shift_slots = (
+            window + sim.page_table.config.max_leaf_error_slots + 2 * SLOTS_PER_LINE + 4
+        )
         if rng.random() < 0.5:
             shift_slots = -shift_slots
         leaf.model = LinearModel(

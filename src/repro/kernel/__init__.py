@@ -1,4 +1,5 @@
-"""OS layer: address spaces, THP policy, ASLR, processes, LVM manager."""
+"""OS layer: address spaces, THP policy, ASLR, processes, the shared
+kernel index."""
 
 from repro.kernel.aslr import ASLRLayout
 from repro.kernel.kernel_space import (
@@ -6,7 +7,6 @@ from repro.kernel.kernel_space import (
     SharedKernelIndex,
     is_kernel_vpn,
 )
-from repro.kernel.manager import LVMManager, ManagementReport
 from repro.kernel.process import Process, ProcessStats
 from repro.kernel.thp import plan_vma_runs
 from repro.kernel.vma import VMA, AddressSpace
@@ -17,8 +17,6 @@ __all__ = [
     "SharedKernelIndex",
     "is_kernel_vpn",
     "AddressSpace",
-    "LVMManager",
-    "ManagementReport",
     "Process",
     "ProcessStats",
     "VMA",

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.config import LVMConfig
-from repro.core.learned_index import LearnedIndex, LVMWalk
+from repro.core.learned_index import LearnedIndex
 from repro.core.rebase import AddressSpaceRebaser
 from repro.mem.allocator import PhysicalAllocator
 from repro.types import PTE, TranslationError
@@ -63,20 +63,10 @@ class SharedKernelIndex:
             raise TranslationError(f"{pte.vpn:#x} is not a kernel VPN")
         self.index.insert(pte)
 
-    def unmap(self, vpn: int) -> PTE:
-        return self.index.remove(vpn)
-
-    def lookup(self, vpn: int) -> LVMWalk:
-        return self.index.lookup(vpn)
-
     def attach(self) -> "SharedKernelIndex":
         """A new process shares (not copies) the kernel index."""
         self.attached_processes += 1
         return self
-
-    @property
-    def index_size_bytes(self) -> int:
-        return self.index.index_size_bytes
 
     def memory_saved_vs_per_process(self) -> int:
         """Bytes saved by sharing instead of per-process kernel tables."""

@@ -2,9 +2,10 @@
 
 This is the glue the paper's Linux prototype provides (section 5.3): it
 streams map/unmap operations from the VMA layer into whichever page
-table backs the process — radix, ECPT, FPT, ideal, or LVM via the
-:class:`~repro.kernel.manager.LVMManager` — assigns physical frames,
-and services page faults by mapping on first access (demand paging).
+table backs the process — radix, ECPT, FPT, ideal, or LVM's
+:class:`~repro.core.learned_index.LearnedIndex` — assigns physical
+frames, and services page faults by mapping on first access (demand
+paging).
 """
 
 from __future__ import annotations

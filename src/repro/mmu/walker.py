@@ -222,7 +222,7 @@ class LVMWalker:
 
     def walk(self, vpn: int, asid: int = 0) -> WalkOutcome:
         self._sync_flushes(asid)
-        trace = self.index.lookup(vpn)
+        trace = self.index.walk(vpn)
         # A recovery may retrain or rebuild mid-lookup; flush the LWC
         # before charging the walk so its node fetches see the
         # post-repair state.

@@ -34,9 +34,10 @@ class PageTable(Protocol):
         A miss (unmapped VPN) returns ``pte=None`` with the accesses
         performed before the walker could conclude the page is absent.
 
-        (The LVM manager's ``walk`` returns its richer
-        :class:`~repro.core.learned_index.LVMWalk` trace — same ``pte``
-        semantics, plus the node path its hardware walker needs.)
+        (LVM's :class:`~repro.core.learned_index.LearnedIndex` returns
+        its richer :class:`~repro.core.learned_index.LVMWalk` trace —
+        same ``pte`` semantics, plus the node path its hardware walker
+        needs.)
         """
         ...
 

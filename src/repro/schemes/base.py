@@ -81,8 +81,7 @@ class SchemeDescriptor:
         """Build and return the scheme's page-table structure.
 
         Runs before the process/VMAs exist; ``sim.allocator``,
-        ``sim.config`` and ``sim.lvm_config`` are available.  A scheme
-        with an OS-side manager (LVM) may set ``sim.manager`` here.
+        ``sim.config`` and ``sim.lvm_config`` are available.
         """
         raise NotImplementedError(
             f"{type(self).__name__} must implement make_page_table()"
@@ -91,8 +90,8 @@ class SchemeDescriptor:
     def make_walker(self, sim: "TranslationStack"):
         """Build and return the hardware walker.
 
-        Runs after the address space is populated; ``sim.page_table``,
-        ``sim.hierarchy`` and (for LVM) ``sim.manager`` are available.
+        Runs after the address space is populated; ``sim.page_table``
+        and ``sim.hierarchy`` are available.
         """
         raise NotImplementedError(
             f"{type(self).__name__} must implement make_walker()"

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from repro.core.learned_index import LearnedIndex
-from repro.kernel.manager import LVMManager
 from repro.mmu.walker import LVMWalker
 from repro.schemes.base import SchemeDescriptor
 from repro.schemes.registry import register
@@ -21,18 +20,17 @@ class LVMScheme(SchemeDescriptor):
     wraps_allocator_under_faults = True
 
     def make_page_table(self, sim):
-        sim.manager = LVMManager(sim.allocator, sim.lvm_config)
-        return sim.manager
+        return LearnedIndex(sim.allocator, sim.lvm_config)
 
     def make_walker(self, sim):
-        return LVMWalker(sim.manager.index, sim.hierarchy)
+        return LVMWalker(sim.page_table, sim.hierarchy)
 
     def mgmt_cycles(self, sim):
         """Section 7.3's OS management charges, from the index's own
         operation counters and the configured per-operation costs."""
-        stats = sim.manager.index.stats
+        stats = sim.page_table.stats
         costs = sim.config.lvm_costs
-        keys = sim.manager.index.num_mappings
+        keys = sim.page_table.num_mappings
         detail = {
             "inserts": costs.insert_cycles * stats.inserts,
             "rescales": costs.rescale_cycles * stats.rescales,
@@ -51,7 +49,7 @@ class LVMScheme(SchemeDescriptor):
         result.walk_cache_detail = {"lwc": sim.walker.lwc.hit_rate}
 
     def fill_scheme_stats(self, sim, result):
-        index = sim.manager.index
+        index = sim.page_table
         result.index_size_bytes = index.index_size_bytes
         result.index_depth = index.depth
         result.collision_rate = index.stats.collision_rate

@@ -34,6 +34,7 @@ from dataclasses import asdict, dataclass
 from typing import List, Optional
 
 from repro.applog import record_digest
+from repro.core.learned_index import LearnedIndex
 from repro.errors import (
     AllocationError,
     CorruptionError,
@@ -291,9 +292,9 @@ class Tenant(TranslationStack):
         }
         if self.injector is not None:
             stats["faults_injected"] = self.injector.total_injected
-        if self.manager is not None:
-            stats["recoveries"] = self.manager.index.stats.recoveries
-            stats["index_size_bytes"] = self.manager.index.index_size_bytes
+        if isinstance(self.page_table, LearnedIndex):
+            stats["recoveries"] = self.page_table.stats.recoveries
+            stats["index_size_bytes"] = self.page_table.index_size_bytes
         return stats
 
     def _op_digest(self) -> dict:
@@ -301,11 +302,13 @@ class Tenant(TranslationStack):
         on this iff their observable state is identical (the recovery
         tests' strongest equality check).
 
-        The mapping walk goes through the VMA layer + ``find`` (the
-        only iteration every page-table scheme supports) and visits
-        every translation, stepping over large pages.  ``find`` is a
-        software lookup that charges and repairs nothing, so a digest
-        leaves the tenant's state as it found it."""
+        The mapping walk goes through the VMA layer + ``find`` and
+        visits every translation, stepping over large pages.  Every
+        table also lists its ``mappings()``, but the recorded digests
+        hash what this walk sees (a translation no VMA covers is left
+        out), so the walk stays.  ``find`` is a software lookup that
+        charges and repairs nothing, so a digest leaves the tenant's
+        state as it found it."""
         mappings = []
         total_pages = sum(vma.pages for vma in self.process.address_space)
         for vma in self.process.address_space:

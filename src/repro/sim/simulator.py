@@ -21,8 +21,8 @@ import copy
 from typing import List, Optional, Sequence
 
 from repro.core.config import LVMConfig
+from repro.core.learned_index import LearnedIndex
 from repro.faults import FaultInjector
-from repro.kernel.manager import LVMManager
 from repro.kernel.process import Mint, Process, mint
 from repro.kernel.vma import VMA
 from repro.mem.allocator import BumpAllocator
@@ -45,8 +45,8 @@ class TranslationStack:
     Built in this order: the cache hierarchy (around ``l3`` when the
     cores of a multicore run share one), the fault injector from
     ``config.faults``, the allocator, the scheme's page table, the
-    process, the given ``vmas`` (inside the manager's batch bracket, so
-    LVM builds its index once), the walker and the MMU.  The scheme
+    process, the given ``vmas`` (inside LVM's start-up batch, so it
+    builds its index once), the walker and the MMU.  The scheme
     descriptor's ``make_page_table`` and ``make_walker`` hooks receive
     the stack, so run-specific state they need belongs on it.  Its
     physical memory starts at ``phys_base`` (the default allocator's
@@ -87,9 +87,6 @@ class TranslationStack:
         self.allocator = allocator if allocator is not None else self._make_allocator()
         if self.injector is not None and self.descriptor.wraps_allocator_under_faults:
             self.allocator = self.injector.wrap_allocator(self.allocator)
-        # The scheme's OS-side manager, if it has one (LVM's descriptor
-        # sets this from make_page_table).
-        self.manager: Optional[LVMManager] = None
         self.page_table = self.descriptor.make_page_table(self)
         self.process = Process(
             self.page_table,
@@ -99,11 +96,12 @@ class TranslationStack:
             injector=self.injector,
             phys_base=phys_base,
         )
-        if self.manager is not None:
-            self.manager.begin_batch()
+        lvm = isinstance(self.page_table, LearnedIndex)
+        if lvm:
+            self.page_table.begin_batch()
         self.process.install(self._mint(vmas))
-        if self.manager is not None:
-            self.manager.end_batch()
+        if lvm:
+            self.page_table.end_batch()
         self.walker = self.descriptor.make_walker(self)
         self.mmu = MMU(self.walker, self.config.tlb)
 
@@ -119,7 +117,7 @@ class TranslationStack:
 
     def sibling(self) -> "TranslationStack":
         """Another core over this stack's address space: the same page
-        table, process, manager and injector, with its own L1, L2,
+        table, process and injector, with its own L1, L2,
         TLBs and walker in front of this stack's L3."""
         core = copy.copy(self)
         core.hierarchy = MemoryHierarchy(self.config.hierarchy, self.hierarchy.l3)
@@ -299,8 +297,8 @@ class Simulator(TranslationStack):
         if detections:
             detail["poison_detections"] = detections
         result.poison_detections = detections
-        if self.manager is not None:
-            istats = self.manager.index.stats
+        if isinstance(self.page_table, LearnedIndex):
+            istats = self.page_table.stats
             for name in (
                 "recovered_scans",
                 "recovered_retrains",

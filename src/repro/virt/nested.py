@@ -180,7 +180,7 @@ class NestedLVMWalker:
         cached = self.ntlb.lookup(gpa_vpn)
         if cached is not None:
             return cached, 1, 0
-        trace = self.host.lookup(gpa_vpn)
+        trace = self.host.walk(gpa_vpn)
         cycles = 0
         issued = 0
         for level, offset, paddr in trace.node_accesses:
@@ -197,7 +197,7 @@ class NestedLVMWalker:
         return trace.pte, cycles, issued
 
     def walk(self, gva_vpn: int, asid: int = 0) -> NestedWalkOutcome:
-        trace = self.guest.lookup(gva_vpn)
+        trace = self.guest.walk(gva_vpn)
         cycles = 0
         issued = 0
         host_walks = 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.kernel.manager import LVMManager
+from repro.core import LearnedIndex
 from repro.mem.allocator import BumpAllocator
 from repro.mem.buddy import BuddyAllocator
 from repro.mem.fragmentation import fragment_to_max_contiguity
@@ -34,7 +34,7 @@ ALL_TABLES = [
     lambda: ECPT(BumpAllocator(), initial_size=64),
     lambda: FlattenedPageTable(BumpAllocator()),
     lambda: IdealPageTable(BumpAllocator()),
-    lambda: LVMManager(BumpAllocator()),
+    lambda: LearnedIndex(BumpAllocator()),
 ]
 
 

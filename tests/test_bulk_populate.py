@@ -16,8 +16,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core import LearnedIndex
 from repro.faults import FaultInjector, FaultPlan
-from repro.kernel.manager import LVMManager
 from repro.kernel.process import Process
 from repro.kernel.vma import VMA
 from repro.mem.allocator import BumpAllocator
@@ -152,7 +152,7 @@ class TestBulkEqualsPerPage:
         thp=False,
     )
     def test_lvm_inside_a_batch(self, vmas, thp):
-        assert_same(LVMManager, vmas, thp, 0.9, batch=True)
+        assert_same(LearnedIndex, vmas, thp, 0.9, batch=True)
 
     def test_ecpt_into_a_non_empty_table(self):
         """Entries already in the table are kicked and rehashed by the
@@ -188,13 +188,13 @@ class TestDuplicates:
         assert state(bulk) == state(one_by_one)
 
     def test_lvm_batch_rejects_duplicates(self):
-        manager = LVMManager()
-        manager.begin_batch()
-        manager.map_many([PTE(1, 1), PTE(2, 2)])
+        index = LearnedIndex()
+        index.begin_batch()
+        index.map_many([PTE(1, 1), PTE(2, 2)])
         with pytest.raises(TranslationError, match="already mapped"):
-            manager.map_many([PTE(3, 3), PTE(2, 9)])
-        manager.end_batch()
-        assert [p.vpn for p in manager.mappings()] == [1, 2, 3]
+            index.map_many([PTE(3, 3), PTE(2, 9)])
+        index.end_batch()
+        assert [p.vpn for p in index.mappings()] == [1, 2, 3]
 
 
 @settings(max_examples=50, deadline=None)

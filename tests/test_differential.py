@@ -1,6 +1,6 @@
 """Differential tests: every translation scheme must agree.
 
-Radix, hashed, ECPT, FPT, ideal, and the LVM manager all implement the
+Radix, hashed, ECPT, FPT, ideal, and LVM's learned index all implement the
 same PageTable contract; for any mapping set and any query, they must
 return the same translation (or all miss).  Hypothesis drives random
 mapping/unmapping sequences through all of them at once.
@@ -9,7 +9,7 @@ mapping/unmapping sequences through all of them at once.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.kernel.manager import LVMManager
+from repro.core import LearnedIndex
 from repro.mem.allocator import BumpAllocator
 from repro.pagetables import (
     ECPT,
@@ -28,7 +28,7 @@ def all_schemes():
         "ecpt": ECPT(BumpAllocator(), initial_size=64),
         "fpt": FlattenedPageTable(BumpAllocator()),
         "ideal": IdealPageTable(BumpAllocator()),
-        "lvm": LVMManager(BumpAllocator()),
+        "lvm": LearnedIndex(BumpAllocator()),
     }
 
 

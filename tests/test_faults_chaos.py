@@ -128,16 +128,16 @@ class TestTrustedTablesHoldNoDamage:
             num_refs=REFS, faults=FaultPlan(**self.PLAN), verify_translations=True
         )
         sim = Simulator("lvm", build_workload("bfs", scale=1024), config)
-        index = sim.manager.index
-        lookup, checked = index.lookup, []
+        index = sim.page_table
+        walk, checked = index.walk, []
 
-        def lookup_then_check(vpn):
-            walk = lookup(vpn)
-            if walk.recovered:
+        def walk_then_check(vpn):
+            trace = walk(vpn)
+            if trace.recovered:
                 checked.append(self.check(index))
-            return walk
+            return trace
 
-        index.lookup = lookup_then_check
+        index.walk = walk_then_check
         result = sim.run()
         assert result.incorrect_translations == 0
         assert result.recoveries > 0 and index.stats.recovered_retrains > 0
@@ -146,7 +146,7 @@ class TestTrustedTablesHoldNoDamage:
 
     def test_tenant_script(self):
         tenant = Tenant(TenantSpec(name="t", scheme="lvm", fault_plan=self.PLAN))
-        index = tenant.manager.index
+        index = tenant.page_table
         rng = random.Random(1)
         trusted = 0
         tenant.apply("mmap", {"start_vpn": 1 << 20, "pages": 512})

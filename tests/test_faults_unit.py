@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from repro.core import LearnedIndex
 from repro.errors import (
     ConfigError,
     DoubleMappedFrameError,
@@ -26,7 +27,6 @@ from repro.kernel.invariants import (
     check_process_invariants,
     reconcile_stale_mappings,
 )
-from repro.kernel.manager import LVMManager
 from repro.kernel.process import Process
 from repro.kernel.vma import VMA, AddressSpace
 from repro.mem import BumpAllocator
@@ -41,8 +41,6 @@ def dense_ptes(base, count, ppn0=0):
 
 
 def build_index(ptes, allocator=None, config=None):
-    from repro.core import LearnedIndex
-
     idx = LearnedIndex(allocator or BumpAllocator(), config)
     idx.bulk_build(ptes)
     return idx
@@ -128,8 +126,6 @@ class TestConfigValidation:
 
         with pytest.raises(ConfigError, match="Q44.20"):
             LVMConfig(spline_max_error=MAX_INT + 1).validate()
-        with pytest.raises(ConfigError, match="slots_per_line"):
-            LVMConfig(slots_per_line=7).validate()
 
     def test_bad_plan_rejected_at_sim_config(self):
         from repro.sim import SimConfig
@@ -231,7 +227,7 @@ class TestGappedTableCorruption:
         assert leaf.table.corrupt_entry_count() == 1
         # The index-level lookup must still return the right mapping
         # (degradation ladder: scan/retrain behind the scenes).
-        walk = idx.lookup(entry.vpn)
+        walk = idx.walk(entry.vpn)
         assert walk.hit
         assert walk.pte.vpn == entry.vpn
         assert walk.pte.ppn == entry.ppn
@@ -251,18 +247,18 @@ class TestGappedTableCorruption:
             leaf.model.slope_raw,
             leaf.model.intercept_raw + (shift << FRACTION_BITS),
         )
-        walk = idx.lookup(entry.vpn)
+        walk = idx.walk(entry.vpn)
         assert walk.hit and walk.pte.vpn == entry.vpn
         assert idx.stats.recoveries > 0
         # Once repaired, the next lookup is clean (no new recovery).
         before = idx.stats.recoveries
-        again = idx.lookup(entry.vpn)
+        again = idx.walk(entry.vpn)
         assert again.hit
         assert idx.stats.recoveries == before
 
     def test_plain_miss_is_not_a_recovery(self):
         idx = build_index(dense_ptes(0x1000, 500))
-        assert not idx.lookup(0x9999999).hit
+        assert not idx.walk(0x9999999).hit
         assert idx.stats.recoveries == 0
 
 
@@ -333,45 +329,44 @@ class TestInvariants:
             check_no_double_mapped_frames([huge, inside])
 
     def test_clean_process_passes(self):
-        manager = LVMManager(BumpAllocator())
-        proc = Process(manager, injector=None)
+        proc = Process(LearnedIndex(BumpAllocator()), injector=None)
         proc.mmap(VMA(start_vpn=0x1000, pages=64))
         check_process_invariants(proc)
 
     def test_stale_mapping_detected_and_reconciled(self):
-        manager = LVMManager(BumpAllocator())
+        index = LearnedIndex(BumpAllocator())
         space = AddressSpace()
         space.mmap(VMA(start_vpn=0x1000, pages=8))
         for i in range(8):
-            manager.map(PTE(vpn=0x1000 + i, ppn=i + 1))
-        manager.map(PTE(vpn=0x9000, ppn=99))  # no VMA covers this
-        proc = _Proc(space, manager)
+            index.map(PTE(vpn=0x1000 + i, ppn=i + 1))
+        index.map(PTE(vpn=0x9000, ppn=99))  # no VMA covers this
+        proc = _Proc(space, index)
         with pytest.raises(IndexInconsistencyError):
             check_process_invariants(proc)
         assert reconcile_stale_mappings(proc) == 1
         check_process_invariants(proc)
-        assert manager.find(0x9000) is None
+        assert index.find(0x9000) is None
 
     def test_duplicate_map_rejected(self):
-        manager = LVMManager(BumpAllocator())
-        manager.map(PTE(vpn=10, ppn=1))
+        index = LearnedIndex(BumpAllocator())
+        index.map(PTE(vpn=10, ppn=1))
         with pytest.raises(DuplicateMappingError):
-            manager.map(PTE(vpn=10, ppn=2))
+            index.map(PTE(vpn=10, ppn=2))
 
     def test_duplicate_rejected_while_batching(self):
-        manager = LVMManager(BumpAllocator())
-        manager.begin_batch()
-        manager.map(PTE(vpn=10, ppn=1))
+        index = LearnedIndex(BumpAllocator())
+        index.begin_batch()
+        index.map(PTE(vpn=10, ppn=1))
         with pytest.raises(DuplicateMappingError):
-            manager.map(PTE(vpn=10, ppn=2))
-        manager.end_batch()
-        assert manager.find(10).ppn == 1
+            index.map(PTE(vpn=10, ppn=2))
+        index.end_batch()
+        assert index.find(10).ppn == 1
 
 
 class TestKernelEventFaults:
     def _process(self, plan):
         injector = FaultInjector(plan) if plan else None
-        return Process(LVMManager(BumpAllocator()), injector=injector)
+        return Process(LearnedIndex(BumpAllocator()), injector=injector)
 
     def test_dropped_mmap_recovered_by_demand_fault(self):
         proc = self._process(FaultPlan(seed=0, kernel_event_drop_rate=1.0))

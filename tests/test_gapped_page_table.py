@@ -138,6 +138,28 @@ class TestPlace:
             gpt.place(np.array([5]), [make_pte(9)], 1)
 
 
+class TestLiveSlot:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_kth_live_slot_matches_entries(self, seed):
+        """Seeded tables with holes: inserts, removes and corrupted
+        entries; ``live_slot(k)`` is ``entries()[k][0]`` for every k."""
+        rng = np.random.default_rng(seed)
+        num_slots = int(rng.integers(1, 200))
+        gpt = GappedPageTable(num_slots, base_paddr=0x1000)
+        for vpn in range(int(rng.integers(1, num_slots + 1))):
+            gpt.insert(int(rng.integers(0, num_slots)), make_pte(vpn), num_slots)
+        live = [slot for slot, _ in gpt.entries()]
+        for slot in rng.choice(live, size=len(live) // 3, replace=False).tolist():
+            gpt.remove(slot)
+        for slot, _ in gpt.entries()[::4]:
+            gpt.corrupt_slot(slot, fld="vpn", bit=3)
+        entries = gpt.entries()
+        assert gpt.occupied == len(entries)
+        assert [gpt.live_slot(k) for k in range(gpt.occupied)] == [
+            slot for slot, _ in entries
+        ]
+
+
 class TestExpand:
     def test_expand_keeps_entries(self):
         gpt = GappedPageTable(8, 0x1000)

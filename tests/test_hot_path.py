@@ -931,7 +931,7 @@ class MethodLVMWalker(LVMWalker):
 
     def walk(self, vpn: int, asid: int = 0) -> WalkOutcome:
         self._sync_flushes(asid)
-        trace = self.index.lookup(vpn)
+        trace = self.index.walk(vpn)
         self._sync_flushes(asid)
         cycles = 0
         issued = 0

@@ -73,9 +73,9 @@ class TestIndexDepthInvariant:
     def test_depth_bound_after_full_simulation(self, workload):
         sim = Simulator("lvm", workload, SimConfig(num_refs=REFS))
         sim.run()
-        assert sim.manager.index.depth <= LVMConfig().d_limit
+        assert sim.page_table.depth <= LVMConfig().d_limit
 
     def test_thp_depth_bound(self, workload):
         sim = Simulator("lvm", workload, SimConfig(num_refs=REFS, thp=True))
         sim.run()
-        assert sim.manager.index.depth <= LVMConfig().d_limit
+        assert sim.page_table.depth <= LVMConfig().d_limit

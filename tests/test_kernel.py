@@ -1,9 +1,10 @@
-"""Tests for the OS layer: VMAs, THP policy, ASLR, process, manager."""
+"""Tests for the OS layer: VMAs, THP policy, ASLR, process, and the LVM
+page table the OS drives."""
 
 import pytest
 
+from repro.core import LearnedIndex
 from repro.kernel.aslr import ASLRLayout
-from repro.kernel.manager import LVMManager
 from repro.kernel.process import Process
 from repro.kernel.thp import plan_vma_runs
 from repro.kernel.vma import VMA, AddressSpace
@@ -145,70 +146,90 @@ class TestProcess:
         assert proc.stats.shootdowns == 16
 
 
-class TestLVMManager:
+class TestLVMPageTable:
     def test_batch_build(self):
-        mgr = LVMManager(BumpAllocator())
-        mgr.begin_batch()
+        index = LearnedIndex(BumpAllocator())
+        index.begin_batch()
         for v in range(1000):
-            mgr.map(PTE(vpn=v, ppn=v))
-        mgr.end_batch()
-        assert mgr.find(500).ppn == 500
-        assert mgr.index.stats.inserts == 0  # batched, not inserted
+            index.map(PTE(vpn=v, ppn=v))
+        index.end_batch()
+        assert index.find(500).ppn == 500
+        assert index.stats.inserts == 0  # batched, not inserted
 
     def test_streaming_inserts(self):
-        mgr = LVMManager(BumpAllocator())
-        mgr.begin_batch()
-        mgr.map(PTE(vpn=0, ppn=0))
-        mgr.end_batch()
+        index = LearnedIndex(BumpAllocator())
+        index.begin_batch()
+        index.map(PTE(vpn=0, ppn=0))
+        index.end_batch()
         for v in range(1, 300):
-            mgr.map(PTE(vpn=v, ppn=v))
-        assert all(mgr.find(v) is not None for v in range(300))
+            index.map(PTE(vpn=v, ppn=v))
+        assert all(index.find(v) is not None for v in range(300))
 
     def test_far_segment_reprograms_rebaser(self):
-        mgr = LVMManager(BumpAllocator())
-        mgr.begin_batch()
+        index = LearnedIndex(BumpAllocator())
+        index.begin_batch()
         for v in range(100):
-            mgr.map(PTE(vpn=v, ppn=v))
-        mgr.end_batch()
+            index.map(PTE(vpn=v, ppn=v))
+        index.end_batch()
         far = 1 << 34
-        mgr.map(PTE(vpn=far, ppn=1))
-        assert mgr.find(far) is not None
-        assert mgr.find(50) is not None
+        index.map(PTE(vpn=far, ppn=1))
+        assert index.find(far) is not None
+        assert index.find(50) is not None
 
-    def test_software_pte_updates(self):
-        mgr = LVMManager(BumpAllocator())
-        mgr.begin_batch()
-        mgr.map(PTE(vpn=5, ppn=5))
-        mgr.end_batch()
-        mgr.set_accessed(5)
-        mgr.set_dirty(5)
-        mgr.change_protection(5, Permission.READ)
-        pte = mgr.find(5)
-        assert pte.accessed and pte.dirty
-        assert pte.perms == Permission.READ
+    def test_growth_accounting(self):
+        """A map outside every rebased region rebuilds with a second
+        region and flushes the LWC once; a map inside one inserts."""
+        index = LearnedIndex(BumpAllocator())
+        index.begin_batch()
+        for v in range(200):
+            index.map(PTE(vpn=v, ppn=v))
+        index.end_batch()
+        stats = index.stats
+        counters = ("builds", "full_rebuilds", "lwc_flushes", "inserts")
+        before = [getattr(stats, name) for name in counters]
+        assert index.rebaser.num_regions == 1
+        index.map(PTE(vpn=1 << 30, ppn=1 << 30))
+        added = [getattr(stats, name) - b for name, b in zip(counters, before)]
+        assert added == [1, 1, 1, 0]
+        assert index.rebaser.num_regions == 2
+        index.map(PTE(vpn=200, ppn=200))
+        assert stats.inserts == before[3] + 1
+
+    def test_software_pte_updates_reach_the_walk(self):
+        """The OS writes accessed/dirty bits and permissions into the
+        entry ``find`` returns; the hardware walk reads that entry."""
+        index = LearnedIndex(BumpAllocator())
+        index.begin_batch()
+        index.map(PTE(vpn=5, ppn=5))
+        index.end_batch()
+        pte = index.find(5)
+        pte.accessed = pte.dirty = True
+        pte.perms = Permission.READ
+        walked = index.walk(5).pte
+        assert walked.accessed and walked.dirty
+        assert walked.perms == Permission.READ
 
     def test_unmap(self):
-        mgr = LVMManager(BumpAllocator())
-        mgr.begin_batch()
+        index = LearnedIndex(BumpAllocator())
+        index.begin_batch()
         for v in range(100):
-            mgr.map(PTE(vpn=v, ppn=v))
-        mgr.end_batch()
-        mgr.unmap(50)
-        assert mgr.find(50) is None
+            index.map(PTE(vpn=v, ppn=v))
+        index.end_batch()
+        index.unmap(50)
+        assert index.find(50) is None
 
-    def test_report_fields(self):
-        mgr = LVMManager(BumpAllocator())
-        mgr.begin_batch()
+    def test_batch_counts_one_build(self):
+        index = LearnedIndex(BumpAllocator())
+        index.begin_batch()
         for v in range(100):
-            mgr.map(PTE(vpn=v, ppn=v))
-        mgr.end_batch()
-        report = mgr.report()
-        assert report.full_rebuilds == 0
-        assert report.management_time_s >= 0.0
+            index.map(PTE(vpn=v, ppn=v))
+        index.end_batch()
+        assert (index.stats.builds, index.stats.full_rebuilds) == (1, 0)
+        assert index.stats.management_time_s >= 0.0
 
-    def test_huge_page_via_manager(self):
-        mgr = LVMManager(BumpAllocator())
-        mgr.begin_batch()
-        mgr.map(PTE(vpn=0, ppn=0, page_size=PageSize.SIZE_2M))
-        mgr.end_batch()
-        assert mgr.walk(77).pte is not None
+    def test_huge_page_walk(self):
+        index = LearnedIndex(BumpAllocator())
+        index.begin_batch()
+        index.map(PTE(vpn=0, ppn=0, page_size=PageSize.SIZE_2M))
+        index.end_batch()
+        assert index.walk(77).pte is not None

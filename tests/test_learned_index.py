@@ -1,5 +1,7 @@
 """Tests for the LVM learned index (paper sections 4.1-4.5)."""
 
+import time
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -24,13 +26,13 @@ class TestBulkBuild:
         ptes = dense_ptes(0x1000, 5000)
         idx = build(ptes)
         for pte in ptes[::37]:
-            walk = idx.lookup(pte.vpn)
+            walk = idx.walk(pte.vpn)
             assert walk.pte is pte
 
     def test_unmapped_misses(self):
         idx = build(dense_ptes(100, 100))
-        assert not idx.lookup(5000).hit
-        assert not idx.lookup(50).hit
+        assert not idx.walk(5000).hit
+        assert not idx.walk(50).hit
 
     def test_multi_segment_index_is_tiny(self):
         ptes = []
@@ -56,7 +58,7 @@ class TestBulkBuild:
         idx = LearnedIndex(BumpAllocator())
         idx.bulk_build([])
         assert idx.root is None
-        assert not idx.lookup(0).hit
+        assert not idx.walk(0).hit
 
 
 class TestDepthBound:
@@ -71,7 +73,7 @@ class TestDepthBound:
 
     def test_walk_accesses_bounded(self):
         idx = build(dense_ptes(0, 10_000))
-        walk = idx.lookup(5000)
+        walk = idx.walk(5000)
         # d_limit models + PTE fetch: at most 4 memory accesses in the
         # collision-free case (section 5.1).
         assert walk.hit
@@ -85,7 +87,7 @@ class TestPageSizes:
         idx = build(hp)
         for i in (0, 13, 63):
             for offset in (0, 1, 255, 511):
-                walk = idx.lookup(512 * i + offset)
+                walk = idx.walk(512 * i + offset)
                 assert walk.pte is hp[i], (i, offset)
 
     def test_mixed_sizes_single_index(self):
@@ -94,17 +96,17 @@ class TestPageSizes:
             for i in range(32)
         ]
         idx = build(mix)
-        assert all(idx.lookup(p.vpn).pte is p for p in mix)
+        assert all(idx.walk(p.vpn).pte is p for p in mix)
 
     def test_gigabyte_page(self):
         giant = PTE(vpn=1 << 18, ppn=42, page_size=PageSize.SIZE_1G)
         idx = build(dense_ptes(0, 1000) + [giant])
-        assert idx.lookup((1 << 18) + 100_000).pte is giant
+        assert idx.walk((1 << 18) + 100_000).pte is giant
 
     def test_size_encoding_preserved(self):
         hp = PTE(vpn=0, ppn=0, page_size=PageSize.SIZE_2M)
         idx = build([hp])
-        assert idx.lookup(5).pte.page_size is PageSize.SIZE_2M
+        assert idx.walk(5).pte.page_size is PageSize.SIZE_2M
 
 
 class TestInsert:
@@ -112,7 +114,7 @@ class TestInsert:
         idx = build(dense_ptes(0, 10_000))
         for v in range(10_000, 14_000):
             idx.insert(PTE(vpn=v, ppn=v))
-        assert all(idx.lookup(v).hit for v in range(0, 14_000, 13))
+        assert all(idx.walk(v).hit for v in range(0, 14_000, 13))
         # Section 4.3.4: edge growth must not retrain; 4000 inserts
         # within one minimum-insertion-distance need exactly one rescale.
         assert idx.stats.rescales <= 2
@@ -121,21 +123,21 @@ class TestInsert:
     def test_within_bounds_insert_into_gap(self):
         idx = build([PTE(vpn=2 * i, ppn=i) for i in range(2000)])
         idx.insert(PTE(vpn=501, ppn=9999))
-        assert idx.lookup(501).pte.ppn == 9999
+        assert idx.walk(501).pte.ppn == 9999
 
     def test_far_insert_triggers_rebuild(self):
         idx = build(dense_ptes(0, 1000))
         far = 10_000_000
         idx.insert(PTE(vpn=far, ppn=1))
         assert idx.stats.full_rebuilds == 1
-        assert idx.lookup(far).hit
-        assert idx.lookup(500).hit
+        assert idx.walk(far).hit
+        assert idx.walk(500).hit
 
     def test_left_insert_rebuilds(self):
         idx = build(dense_ptes(100_000, 1000))
         idx.insert(PTE(vpn=50, ppn=1))
-        assert idx.lookup(50).hit
-        assert idx.lookup(100_500).hit
+        assert idx.walk(50).hit
+        assert idx.walk(100_500).hit
 
     def test_duplicate_insert_rejected(self):
         idx = build(dense_ptes(0, 10))
@@ -146,47 +148,47 @@ class TestInsert:
         idx = LearnedIndex(BumpAllocator())
         idx.bulk_build([])
         idx.insert(PTE(vpn=42, ppn=1))
-        assert idx.lookup(42).hit
+        assert idx.walk(42).hit
 
     def test_huge_page_insert(self):
         idx = build(dense_ptes(0, 1000))
         hp = PTE(vpn=1 << 14, ppn=5, page_size=PageSize.SIZE_2M)
         idx.insert(hp)
-        assert idx.lookup((1 << 14) + 300).pte is hp
+        assert idx.walk((1 << 14) + 300).pte is hp
 
 
 class TestRemove:
     def test_remove_then_miss(self):
         idx = build(dense_ptes(0, 1000))
-        idx.remove(500)
-        assert not idx.lookup(500).hit
-        assert idx.lookup(499).hit and idx.lookup(501).hit
+        idx.unmap(500)
+        assert not idx.walk(500).hit
+        assert idx.walk(499).hit and idx.walk(501).hit
 
     def test_remove_keeps_model(self):
         # Section 5.2 "Free": the index is not retrained on frees.
         idx = build(dense_ptes(0, 1000))
         before = idx.stats.local_retrains + idx.stats.full_rebuilds
         for v in range(100, 200):
-            idx.remove(v)
+            idx.unmap(v)
         assert idx.stats.local_retrains + idx.stats.full_rebuilds == before
 
     def test_freed_slot_reused(self):
         idx = build(dense_ptes(0, 1000))
-        idx.remove(500)
+        idx.unmap(500)
         idx.insert(PTE(vpn=500, ppn=777))
-        assert idx.lookup(500).pte.ppn == 777
+        assert idx.walk(500).pte.ppn == 777
 
     def test_remove_unmapped_raises(self):
         idx = build(dense_ptes(0, 10))
         with pytest.raises(TranslationError):
-            idx.remove(999)
+            idx.unmap(999)
 
     def test_remove_huge_page(self):
         hp = [PTE(vpn=512 * i, ppn=i, page_size=PageSize.SIZE_2M) for i in range(10)]
         idx = build(hp)
-        idx.remove(512 * 5)
-        assert not idx.lookup(512 * 5 + 100).hit
-        assert idx.lookup(512 * 6).hit
+        idx.unmap(512 * 5)
+        assert not idx.walk(512 * 5 + 100).hit
+        assert idx.walk(512 * 6).hit
 
 
 class TestFragmentation:
@@ -200,14 +202,14 @@ class TestFragmentation:
 
         for leaf in leaf_nodes(idx.root):
             assert leaf.table.size_bytes <= 256 << 10
-        assert all(idx.lookup(v).hit for v in range(0, 100_000, 1009))
+        assert all(idx.walk(v).hit for v in range(0, 100_000, 1009))
 
 
 class TestStats:
     def test_collision_rate_low_on_regular_space(self):
         idx = build(dense_ptes(0, 50_000))
         for v in range(0, 50_000, 7):
-            idx.lookup(v)
+            idx.walk(v)
         # Section 7.3: 0.2% average collision rate for 4 KB pages.
         assert idx.stats.collision_rate < 0.02
 
@@ -215,6 +217,29 @@ class TestStats:
         idx = build(dense_ptes(0, 100_000))
         # Worst case 1.3x the minimum space (section 7.3).
         assert idx.table_bytes <= 1.35 * idx.min_required_bytes + 4096
+
+    @pytest.mark.parametrize("op", ["insert", "unmap"])
+    def test_a_rebuild_counts_its_time_once(self, op):
+        """An insert or unmap that triggers a full rebuild raises
+        ``management_time_s`` by no more than its own wall time."""
+        if op == "insert":
+            idx = build(dense_ptes(0, 20_000))
+            call, arg = idx.insert, PTE(vpn=10_000_000, ppn=1)
+        else:
+            # Unmapping an entry whose table copy is damaged falls back
+            # to repairing its leaf; a degraded leaf cannot be refit by
+            # one model, so the index rebuilds.
+            idx = build(_PACKED_FROM_SLOT_0)
+            leaf = next(leaf for leaf in leaf_nodes(idx.root) if leaf.degraded)
+            slot, entry = leaf.table.entries()[300]
+            leaf.table.corrupt_slot(slot, fld="ppn", bit=3)
+            call, arg = idx.unmap, entry.vpn
+        before = idx.stats.management_time_s
+        start = time.perf_counter()
+        call(arg)
+        elapsed = time.perf_counter() - start
+        assert idx.stats.full_rebuilds == 1
+        assert idx.stats.management_time_s - before <= elapsed
 
     def test_software_find_has_no_stats_side_effect(self):
         idx = build(dense_ptes(0, 100))
@@ -274,7 +299,7 @@ class TestPropertyBased:
         idx = build(ptes)
         for pte in ptes:
             for vpn in range(pte.vpn, pte.vpn + pte.page_size.pages_4k):
-                assert idx.lookup(vpn).pte is pte, (pte, vpn)
+                assert idx.walk(vpn).pte is pte, (pte, vpn)
         degraded = sum(leaf.degraded for leaf in leaf_nodes(idx.root))
         assert idx.stats.error_bound_violations >= degraded
 
@@ -292,7 +317,7 @@ class TestPropertyBased:
         ptes = [PTE(vpn=v, ppn=i) for i, v in enumerate(vpns)]
         idx = build(ptes)
         for pte in ptes:
-            assert idx.lookup(pte.vpn).pte is pte
+            assert idx.walk(pte.vpn).pte is pte
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -314,10 +339,10 @@ class TestPropertyBased:
             st.lists(st.sampled_from(vpns), max_size=len(vpns) // 2, unique=True)
         )
         for v in removed:
-            idx.remove(v)
+            idx.unmap(v)
         removed_set = set(removed)
         for v in vpns:
-            walk = idx.lookup(v)
+            walk = idx.walk(v)
             if v in removed_set:
                 assert not walk.hit
             else:

@@ -20,7 +20,7 @@ class TestWalkTraces:
         index.bulk_build(
             dense(0, 3000) + dense(300_000, 3000) + dense(900_000, 3000)
         )
-        walk = index.lookup(300_500)
+        walk = index.walk(300_500)
         levels = [lvl for lvl, _, _ in walk.node_accesses]
         assert levels == sorted(levels)
         assert levels[0] == 0
@@ -28,14 +28,14 @@ class TestWalkTraces:
     def test_node_paddrs_match_level_layout(self):
         index = LearnedIndex(BumpAllocator())
         index.bulk_build(dense(0, 2000) + dense(1 << 20, 2000))
-        walk = index.lookup(100)
+        walk = index.walk(100)
         for level, offset, paddr in walk.node_accesses:
             assert paddr == index.level_bases[level] + offset * 16
 
     def test_pte_line_is_inside_leaf_table(self):
         index = LearnedIndex(BumpAllocator())
         index.bulk_build(dense(0, 5000))
-        walk = index.lookup(1234)
+        walk = index.walk(1234)
         leaf = index._leaf_for(index.rebaser.rebase(1234))
         lo = leaf.table.base_paddr - leaf.table.base_paddr % 64
         hi = leaf.table.slot_paddr(leaf.table.num_slots - 1)
@@ -70,7 +70,7 @@ class TestRescaling:
         index.bulk_build(ptes)
         index.insert(PTE(vpn=10_000, ppn=77))
         for pte in ptes[::499]:
-            assert index.lookup(pte.vpn).pte is pte
+            assert index.walk(pte.vpn).pte is pte
 
     def test_retrain_flushes_lwc(self):
         index = LearnedIndex(BumpAllocator())
@@ -116,8 +116,8 @@ class TestRebasedIndex:
         index = LearnedIndex(BumpAllocator(), rebaser=rebaser)
         ptes = dense(1 << 30, 5000) + dense(1 << 40, 5000)
         index.bulk_build(ptes)
-        assert all(index.lookup(p.vpn).pte is p for p in ptes[:: 333])
-        assert not index.lookup((1 << 35)).hit
+        assert all(index.walk(p.vpn).pte is p for p in ptes[:: 333])
+        assert not index.walk((1 << 35)).hit
 
     def test_index_covers_whole_slots(self):
         rebaser = AddressSpaceRebaser([(0, 1000), (1 << 33, 1000)])
@@ -135,7 +135,7 @@ class TestRebasedIndex:
         index.bulk_build(ptes)
         for i in (0, 13, 63):
             q = (1 << 33) + 512 * i + 200
-            assert index.lookup(q).pte is ptes[i]
+            assert index.walk(q).pte is ptes[i]
 
 
 class TestDegradedLeafBehaviour:
@@ -151,5 +151,5 @@ class TestDegradedLeafBehaviour:
             index.insert(PTE(vpn=v, ppn=10_000 + v))
         # Lookups stay correct whatever the structure decided.
         for v in remaining[:300:17]:
-            assert index.lookup(v).hit
+            assert index.walk(v).hit
         assert index.stats.full_rebuilds <= 10

@@ -30,17 +30,17 @@ class TestPathologicalSpaces:
         index = build(vpns)
         assert index.depth <= LVMConfig().d_limit
         for v in vpns[::111]:
-            assert index.lookup(v).hit
+            assert index.walk(v).hit
         for _ in range(200):
             v = rng.randrange(1 << 22)
-            assert index.lookup(v).hit == (v in set(vpns))
+            assert index.walk(v).hit == (v in set(vpns))
 
     def test_exponentially_spaced_keys(self):
         vpns = [2 ** i for i in range(1, 34)]
         index = build(vpns)
         assert index.depth <= LVMConfig().d_limit
-        assert all(index.lookup(v).hit for v in vpns)
-        assert not index.lookup(3).hit
+        assert all(index.walk(v).hit for v in vpns)
+        assert not index.walk(3).hit
 
     def test_adversarial_cluster_sizes(self):
         # Clusters whose sizes and gaps grow geometrically: no single
@@ -53,7 +53,7 @@ class TestPathologicalSpaces:
             base += size * 3 + 7
         index = build(vpns)
         assert index.depth <= LVMConfig().d_limit
-        assert all(index.lookup(v).hit for v in vpns[:: max(1, len(vpns) // 200)])
+        assert all(index.walk(v).hit for v in vpns[:: max(1, len(vpns) // 200)])
 
     def test_index_size_bounded_on_random_keys(self):
         rng = random.Random(7)
@@ -77,9 +77,9 @@ class TestPathologicalSpaces:
         index = LearnedIndex(BumpAllocator())
         index.bulk_build(ptes)
         for pte in ptes:
-            walk = index.lookup(pte.vpn)
+            walk = index.walk(pte.vpn)
             assert walk.pte is pte
-            inner = index.lookup(pte.vpn + pte.page_size.pages_4k - 1)
+            inner = index.walk(pte.vpn + pte.page_size.pages_4k - 1)
             assert inner.pte is pte
 
     def test_adversarial_insert_order(self):
@@ -93,7 +93,7 @@ class TestPathologicalSpaces:
             if rev == 0:
                 continue
             index.insert(PTE(vpn=rev, ppn=i))
-        hits = sum(index.lookup(v).hit for v in range(n))
+        hits = sum(index.walk(v).hit for v in range(n))
         assert hits == n - bits + 1 or hits >= n - bits  # all inserted found
 
     def test_every_node_within_depth_limit(self):
@@ -108,8 +108,8 @@ class TestSharedKernelIndex:
     def test_direct_map_is_one_leaf(self):
         kernel = SharedKernelIndex(BumpAllocator())
         kernel.map_direct(KERNEL_BASE_VPN, 100_000, ppn0=0)
-        assert kernel.index_size_bytes <= 64  # a handful of models
-        walk = kernel.lookup(KERNEL_BASE_VPN + 54_321)
+        assert kernel.index.index_size_bytes <= 64  # a handful of models
+        walk = kernel.index.walk(KERNEL_BASE_VPN + 54_321)
         assert walk.hit and walk.pte.ppn == 54_321
 
     def test_user_vpn_rejected(self):
@@ -130,4 +130,4 @@ class TestSharedKernelIndex:
         kernel.map_direct(KERNEL_BASE_VPN, 10_000, ppn0=0)
         for i in range(200):
             kernel.map(PTE(vpn=KERNEL_BASE_VPN + 20_000 + 3 * i, ppn=99_000 + i))
-        assert kernel.lookup(KERNEL_BASE_VPN + 20_000 + 3 * 57).hit
+        assert kernel.index.walk(KERNEL_BASE_VPN + 20_000 + 3 * 57).hit

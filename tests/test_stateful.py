@@ -81,7 +81,7 @@ class IndexMachine(RuleBasedStateMachine):
         pte = self.oracle.pop(vpn)
         for i in range(pte.page_size.pages_4k):
             del self.covered[vpn + i]
-        self.index.remove(vpn)
+        self.index.unmap(vpn)
 
     @rule()
     def compact(self):
@@ -89,7 +89,7 @@ class IndexMachine(RuleBasedStateMachine):
 
     @rule(vpn=st.integers(min_value=0, max_value=VPN_SPACE - 1))
     def lookup_matches_oracle(self, vpn):
-        walk = self.index.lookup(vpn)
+        walk = self.index.walk(vpn)
         first = self.covered.get(vpn)
         if first is None:
             assert not walk.hit, vpn

@@ -1,7 +1,6 @@
 """Tests for index compaction/reclaim."""
 
 from repro.core import LearnedIndex
-from repro.kernel import LVMManager
 from repro.mem import BumpAllocator
 from repro.types import PTE
 
@@ -12,14 +11,14 @@ class TestReclaim:
         index.bulk_build([PTE(vpn=v, ppn=v) for v in range(40_000)])
         peak = index.table_bytes
         for v in range(10_000, 40_000):
-            index.remove(v)
+            index.unmap(v)
         # Section 5.2: frees keep the space...
         assert index.table_bytes == peak
         # ...until the OS decides to rebuild and reclaim (section 7.3).
         reclaimed = index.compact()
         assert reclaimed > 0.5 * peak
-        assert index.lookup(5_000).hit
-        assert not index.lookup(20_000).hit
+        assert index.walk(5_000).hit
+        assert not index.walk(20_000).hit
 
     def test_compact_counts_as_rebuild(self):
         index = LearnedIndex(BumpAllocator())
@@ -30,16 +29,16 @@ class TestReclaim:
         assert index.stats.lwc_flushes >= 1
 
     def test_manager_reclaim(self):
-        manager = LVMManager(BumpAllocator())
-        manager.begin_batch()
+        index = LearnedIndex(BumpAllocator())
+        index.begin_batch()
         for v in range(20_000):
-            manager.map(PTE(vpn=v, ppn=v))
-        manager.end_batch()
+            index.map(PTE(vpn=v, ppn=v))
+        index.end_batch()
         for v in range(5_000, 20_000):
-            manager.unmap(v)
-        freed = manager.reclaim()
+            index.unmap(v)
+        freed = index.compact()
         assert freed > 0
-        assert manager.find(100) is not None
+        assert index.find(100) is not None
 
     def test_compact_on_empty_index(self):
         index = LearnedIndex(BumpAllocator())

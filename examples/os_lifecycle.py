@@ -20,7 +20,7 @@ from repro.kernel import (
     VMA,
 )
 from repro.mem import BumpAllocator
-from repro.types import PTE, Permission
+from repro.types import Permission
 
 
 def main() -> None:

@@ -203,7 +203,7 @@ class LearnedIndex:
         mappings, programming the rebase registers from them."""
         batch, self._batch = self._batch, None
         if batch:
-            self._build_rebased([*self.mappings(), *batch.values()])
+            self._build_rebased(batch.values())
 
     def map(self, pte: PTE) -> None:
         """Install a translation: reject a duplicate of a live or
@@ -223,7 +223,7 @@ class LearnedIndex:
         elif not self.rebaser.in_headroom(vpn):
             # New segment outside every rebased region (program start-up
             # or a fresh far mmap arena; rare).
-            self._build_rebased([*self.mappings(), pte])
+            self._build_rebased([pte])
             self.stats.full_rebuilds += 1
             self.stats.lwc_flushes += 1
         else:
@@ -253,17 +253,19 @@ class LearnedIndex:
     def bulk_build(self, ptes: Iterable[PTE]) -> None:
         """Initialize the index over an existing set of mappings
         (section 4.3.1), under the current rebase registers."""
-        self._rebuild(initial=True, columns=self._adopt(ptes))
+        start = time.perf_counter()
+        self._rebuild(initial=True, columns=self._adopt(ptes), start=start)
 
-    def _build_rebased(self, ptes: List[PTE]) -> None:
-        """Program the ASLR rebase registers from ``ptes``, then build
-        the index over them (section 5.2): the mappings are clustered
-        into regions and packed into a compact canonical space, so the
-        Q44.20 models stay well-conditioned regardless of
-        randomization."""
-        columns = self._adopt(ptes)
+    def _build_rebased(self, extra: Iterable[PTE]) -> None:
+        """Program the ASLR rebase registers from the live mappings and
+        ``extra``, then build the index over them (section 5.2): the
+        mappings are clustered into regions and packed into a compact
+        canonical space, so the Q44.20 models stay well-conditioned
+        regardless of randomization."""
+        start = time.perf_counter()
+        columns = self._adopt([*self.mappings(), *extra])
         self.rebaser = AddressSpaceRebaser(cluster_regions(*columns[1:]))
-        self._rebuild(initial=True, columns=columns)
+        self._rebuild(initial=True, columns=columns, start=start)
 
     def _adopt(self, ptes: Iterable[PTE]):
         """Make ``ptes`` the authoritative mapping set, sorted and
@@ -279,11 +281,15 @@ class LearnedIndex:
         self._sorted_vpns = vpns
         return ordered, np.array(vpns, dtype=np.int64), _page_counts(ordered)
 
-    def _rebuild(self, initial: bool = False, columns=None) -> None:
+    def _rebuild(self, initial: bool = False, columns=None, start=None) -> None:
         """Train the whole index over the current mappings.  ``columns``
         is (PTEs, VPN column, span column) in VPN order, when the
-        caller already has them."""
-        start = time.perf_counter()
+        caller already has them; ``start`` is the ``perf_counter``
+        reading at the build's first step, when the caller sorted or
+        clustered the mappings first, so that the recorded build time
+        covers that work too."""
+        if start is None:
+            start = time.perf_counter()
         self._release_structures()
         if not self._mappings:
             self.root = None

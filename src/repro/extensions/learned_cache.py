@@ -24,7 +24,6 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from repro.core.config import LVMConfig
-from repro.core.cost_model import predict_array
 from repro.core.learned_index import LearnedIndex
 from repro.mem.allocator import BumpAllocator
 from repro.mmu.cache import Cache

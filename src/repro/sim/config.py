@@ -201,7 +201,10 @@ def table1_rows() -> List[tuple]:
     t = TLBConfig()
     return [
         ("Core", "4-issue out-of-order cores at 2GHz"),
-        ("L1-I and L1-D cache", f"{h.l1_size >> 10}KB each, {h.l1_ways}-way, {h.l1_latency} cycle RT"),
+        (
+            "L1-I and L1-D cache",
+            f"{h.l1_size >> 10}KB each, {h.l1_ways}-way, {h.l1_latency} cycle RT",
+        ),
         ("L2 cache", f"{h.l2_size >> 20}MB, {h.l2_ways}-way, {h.l2_latency} cycles RT"),
         ("L3 cache", f"{h.l3_size >> 20}MB per core, {h.l3_ways}-way, {h.l3_latency} cycles RT"),
         ("L1 DTLB/ITLB (4KB pages)", f"{t.l1_4k_entries} entries, {t.l1_4k_ways}-way"),

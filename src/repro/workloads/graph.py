@@ -85,12 +85,17 @@ class GraphTracer:
                     break
                 frontier = pending[:1].astype(np.int64)
                 visited[frontier] = True
-            chunk = self._vertex_block(frontier)
-            out.append(chunk)
-            count += len(chunk)
             starts = g.offsets[frontier]
-            stops = g.offsets[frontier + 1]
-            degrees = (stops - starts).astype(np.int64)
+            degrees = g.offsets[frontier + 1] - starts
+            # A vertex adds 1 + 2*degree accesses: once the wavefront
+            # reaches num_refs, only its prefix up to that vertex counts.
+            reach = count + np.cumsum(1 + 2 * degrees)
+            last = int(np.searchsorted(reach, num_refs))
+            if last < len(frontier):
+                out.append(self._vertex_block(frontier[: last + 1]))
+                break
+            out.append(self._vertex_block(frontier))
+            count = int(reach[-1])
             base = np.repeat(starts, degrees)
             within = np.arange(int(degrees.sum()), dtype=np.int64) - np.repeat(
                 np.cumsum(degrees) - degrees, degrees

@@ -6,7 +6,6 @@ return the same translation (or all miss).  Hypothesis drives random
 mapping/unmapping sequences through all of them at once.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import LearnedIndex

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.mem.allocator import BumpAllocator, OutOfPhysicalMemory
+from repro.mem.allocator import BumpAllocator
 from repro.mem.buddy import BuddyAllocator
 from repro.mem.fragmentation import fragment_to_max_contiguity
 from repro.pagetables.fpt import FlattenedPageTable

@@ -241,6 +241,29 @@ class TestStats:
         assert idx.stats.full_rebuilds == 1
         assert idx.stats.management_time_s - before <= elapsed
 
+    def test_start_up_and_far_map_builds_time_their_clustering(self, monkeypatch):
+        """A start-up batch and a far map time their build from its
+        first step, so the region clustering before training counts."""
+        import repro.core.learned_index as learned_index
+
+        cluster = learned_index.cluster_regions
+
+        def slow_cluster(*columns):
+            time.sleep(0.05)
+            return cluster(*columns)
+
+        monkeypatch.setattr(learned_index, "cluster_regions", slow_cluster)
+        idx = LearnedIndex(BumpAllocator())
+        idx.begin_batch()
+        idx.map_many(dense_ptes(0, 2000) + dense_ptes(1 << 24, 500))
+        for build_step in (idx.end_batch, lambda: idx.map(PTE(vpn=1 << 34, ppn=1))):
+            before = idx.stats.management_time_s
+            build_step()
+            assert idx.stats.build_times_s[-1] >= 0.05
+            assert idx.stats.management_time_s - before >= 0.05
+        assert idx.stats.builds == 2
+        assert idx.stats.full_rebuilds == 1
+
     def test_software_find_has_no_stats_side_effect(self):
         idx = build(dense_ptes(0, 100))
         lookups_before = idx.stats.lookups

@@ -1,10 +1,8 @@
 """White-box tests of learned-index internals: rescaling, retraining,
 allocator bookkeeping, LWC-flush accounting, and the walk traces."""
 
-import pytest
-
 from repro.core import LearnedIndex, LVMConfig
-from repro.core.nodes import InternalNode, leaf_nodes
+from repro.core.nodes import leaf_nodes
 from repro.core.rebase import AddressSpaceRebaser
 from repro.mem import BumpAllocator
 from repro.types import PTE, PTE_SIZE, PageSize

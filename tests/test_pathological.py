@@ -11,7 +11,7 @@ import random
 import pytest
 
 from repro.core import LearnedIndex, LVMConfig
-from repro.core.nodes import iter_nodes, leaf_nodes
+from repro.core.nodes import iter_nodes
 from repro.kernel.kernel_space import KERNEL_BASE_VPN, SharedKernelIndex
 from repro.mem import BumpAllocator
 from repro.types import PTE, PageSize

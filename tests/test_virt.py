@@ -1,7 +1,5 @@
 """Tests for nested (virtualized) translation."""
 
-import pytest
-
 from repro.core import LearnedIndex
 from repro.mem.allocator import BumpAllocator
 from repro.mmu.hierarchy import HierarchyConfig, MemoryHierarchy

@@ -168,7 +168,8 @@ def _reference_kronecker_graph(
 
 
 #: (scale, edge factor, seed, scramble): every combination at scale 8,
-#: then each larger scale with a spread of the other three.
+#: then each larger scale with a spread of the other three, and one
+#: graph whose 81,920 draws per bit end in a partial block.
 _GENERATOR_CASES = [
     (8, edge_factor, seed, scramble)
     for edge_factor in (1, 4, 8)
@@ -184,6 +185,7 @@ _GENERATOR_CASES = [
     (17, 1, 0, True),
     (17, 4, 11, False),
     (17, 8, 1, True),
+    (14, 5, 1, True),
 ]
 
 
